@@ -31,6 +31,31 @@ void RecordOp(const ExecContext& ctx, const char* op, size_t rows_in,
   ctx.metrics->AddCounter(StrCat("exec.", op, ".rows_out"), rows_out);
 }
 
+// Semi/anti join of `input` against a set of projected key rows. Keys are
+// tested in place (RowSlice), so no row is copied unless it is kept; the
+// scan of a large table is bound by fetching each row, so it prefetches
+// ahead.
+Result<Table> FilterByKeySet(
+    const Table& input, const std::vector<std::string>& key_columns,
+    const std::unordered_set<Row, RowHash, RowEq>& keys, bool keep_members,
+    const char* op, const ExecContext& ctx) {
+  constexpr size_t kPrefetchDistance = 16;
+  GPIVOT_ASSIGN_OR_RETURN(std::vector<size_t> indices,
+                          input.schema().ColumnIndices(key_columns));
+  Table result(input.schema());
+  const std::vector<Row>& rows = input.rows();
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (i + kPrefetchDistance < rows.size()) {
+      __builtin_prefetch(rows[i + kPrefetchDistance].data());
+    }
+    if ((keys.count(RowSlice{rows[i], indices}) > 0) == keep_members) {
+      result.AddRow(rows[i]);
+    }
+  }
+  RecordOp(ctx, op, input.num_rows(), result.num_rows());
+  return result;
+}
+
 }  // namespace
 
 Result<Table> Select(const Table& input, const ExprPtr& predicate,
@@ -211,13 +236,31 @@ Result<Table> SemiJoinKeySet(
     const Table& input, const std::vector<std::string>& key_columns,
     const std::unordered_set<Row, RowHash, RowEq>& keys,
     const ExecContext& ctx) {
+  return FilterByKeySet(input, key_columns, keys, true, "semi_join_key_set",
+                        ctx);
+}
+
+Result<Table> IndexSemiJoinKeySet(
+    const Table& input, const std::vector<std::string>& key_columns,
+    const std::unordered_set<Row, RowHash, RowEq>& keys,
+    const ExecContext& ctx) {
   GPIVOT_ASSIGN_OR_RETURN(std::vector<size_t> indices,
                           input.schema().ColumnIndices(key_columns));
-  Table result(input.schema());
-  for (const Row& row : input.rows()) {
-    if (keys.count(ProjectRow(row, indices)) > 0) result.AddRow(row);
+  std::shared_ptr<const HashIndex> index = input.Index(indices);
+  std::vector<size_t> identity(indices.size());
+  for (size_t i = 0; i < identity.size(); ++i) identity[i] = i;
+  // Distinct keys match disjoint rows; sorting the positions restores the
+  // scan's order.
+  std::vector<uint32_t> positions;
+  for (const Row& key : keys) {
+    if (key.size() != identity.size()) continue;  // matches no row
+    index->Find(input.rows(), key, identity, &positions);
   }
-  RecordOp(ctx, "semi_join_key_set", input.num_rows(), result.num_rows());
+  std::sort(positions.begin(), positions.end());
+  Table result(input.schema());
+  result.mutable_rows().reserve(positions.size());
+  for (uint32_t pos : positions) result.AddRow(input.RowAt(pos));
+  RecordOp(ctx, "index_semi_join_key_set", keys.size(), result.num_rows());
   return result;
 }
 
@@ -225,14 +268,8 @@ Result<Table> AntiJoinKeySet(
     const Table& input, const std::vector<std::string>& key_columns,
     const std::unordered_set<Row, RowHash, RowEq>& keys,
     const ExecContext& ctx) {
-  GPIVOT_ASSIGN_OR_RETURN(std::vector<size_t> indices,
-                          input.schema().ColumnIndices(key_columns));
-  Table result(input.schema());
-  for (const Row& row : input.rows()) {
-    if (keys.count(ProjectRow(row, indices)) == 0) result.AddRow(row);
-  }
-  RecordOp(ctx, "anti_join_key_set", input.num_rows(), result.num_rows());
-  return result;
+  return FilterByKeySet(input, key_columns, keys, false, "anti_join_key_set",
+                        ctx);
 }
 
 Result<std::unordered_set<Row, RowHash, RowEq>> CollectKeySet(

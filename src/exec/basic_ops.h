@@ -63,6 +63,14 @@ Result<Table> SemiJoinKeySet(const Table& input,
                              const std::unordered_set<Row, RowHash, RowEq>& keys,
                              const ExecContext& ctx = {});
 
+// SemiJoinKeySet's rows, in the same (input) order, fetched through
+// `input`'s cached Table::Index on `key_columns` instead of a scan: once the
+// index exists the cost follows |keys| and the matches, not |input|.
+Result<Table> IndexSemiJoinKeySet(
+    const Table& input, const std::vector<std::string>& key_columns,
+    const std::unordered_set<Row, RowHash, RowEq>& keys,
+    const ExecContext& ctx = {});
+
 // The complement of SemiJoinKeySet.
 Result<Table> AntiJoinKeySet(const Table& input,
                              const std::vector<std::string>& key_columns,

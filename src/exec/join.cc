@@ -1,5 +1,6 @@
 #include "exec/join.h"
 
+#include <algorithm>
 #include <atomic>
 #include <unordered_map>
 #include <unordered_set>
@@ -56,58 +57,76 @@ Table ConcatChunks(Schema schema, std::vector<std::vector<Row>> chunk_rows) {
   return result;
 }
 
-// The actual join; the public HashJoin wraps it with instrumentation.
-Result<Table> HashJoinImpl(const Table& left, const Table& right,
-                           const JoinSpec& spec, const ExecContext& ctx) {
-  if (spec.left_keys.size() != spec.right_keys.size()) {
-    return Status::InvalidArgument("HashJoin: key lists differ in length");
-  }
-  GPIVOT_ASSIGN_OR_RETURN(std::vector<size_t> left_key_idx,
-                          left.schema().ColumnIndices(spec.left_keys));
-  GPIVOT_ASSIGN_OR_RETURN(std::vector<size_t> right_key_idx,
-                          right.schema().ColumnIndices(spec.right_keys));
-
+// Key positions, output schema and compiled residual shared by every
+// equi-join implementation.
+struct JoinLayout {
+  std::vector<size_t> left_key_idx;
+  std::vector<size_t> right_key_idx;
   // Right payload = right columns minus its join keys.
-  std::unordered_set<size_t> right_key_set(right_key_idx.begin(),
-                                           right_key_idx.end());
   std::vector<size_t> right_payload_idx;
-  for (size_t i = 0; i < right.schema().num_columns(); ++i) {
-    if (right_key_set.count(i) == 0) right_payload_idx.push_back(i);
-  }
-
-  Schema output_schema = left.schema();
-  bool semi_or_anti =
-      spec.type == JoinType::kLeftSemi || spec.type == JoinType::kLeftAnti;
-  if (!semi_or_anti) {
-    Schema right_payload_schema = right.schema().Select(right_payload_idx);
-    GPIVOT_ASSIGN_OR_RETURN(output_schema,
-                            left.schema().Concat(right_payload_schema));
-  }
-
+  Schema output_schema;
   CompiledExpr residual;
-  if (spec.residual != nullptr) {
-    if (semi_or_anti) {
-      // Residual needs the combined schema; build it for evaluation only.
-      Schema right_payload_schema = right.schema().Select(right_payload_idx);
-      GPIVOT_ASSIGN_OR_RETURN(Schema combined,
-                              left.schema().Concat(right_payload_schema));
-      GPIVOT_ASSIGN_OR_RETURN(residual, CompileExpr(spec.residual, combined));
-    } else {
-      GPIVOT_ASSIGN_OR_RETURN(residual,
-                              CompileExpr(spec.residual, output_schema));
-    }
-  }
 
-  auto combined_row_of = [&](const Row& l, const Row& r) {
-    // One exact-capacity allocation per output row. (Copy-then-reserve
-    // allocated at the left arity and regrew for the payload columns on
-    // every combined row of the probe hot loop.)
+  // One exact-capacity allocation per output row. (Copy-then-reserve
+  // allocated at the left arity and regrew for the payload columns on
+  // every combined row of the probe hot loop.)
+  Row Combine(const Row& l, const Row& r) const {
     Row out;
     out.reserve(l.size() + right_payload_idx.size());
     out.insert(out.end(), l.begin(), l.end());
     for (size_t i : right_payload_idx) out.push_back(r[i]);
     return out;
-  };
+  }
+};
+
+Result<JoinLayout> MakeJoinLayout(const Table& left, const Table& right,
+                                  const JoinSpec& spec) {
+  if (spec.left_keys.size() != spec.right_keys.size()) {
+    return Status::InvalidArgument("HashJoin: key lists differ in length");
+  }
+  JoinLayout layout;
+  GPIVOT_ASSIGN_OR_RETURN(layout.left_key_idx,
+                          left.schema().ColumnIndices(spec.left_keys));
+  GPIVOT_ASSIGN_OR_RETURN(layout.right_key_idx,
+                          right.schema().ColumnIndices(spec.right_keys));
+
+  std::unordered_set<size_t> right_key_set(layout.right_key_idx.begin(),
+                                           layout.right_key_idx.end());
+  for (size_t i = 0; i < right.schema().num_columns(); ++i) {
+    if (right_key_set.count(i) == 0) layout.right_payload_idx.push_back(i);
+  }
+
+  // Semi/anti joins output the left schema; only their residual sees the
+  // combined row (and only then may its column names collide).
+  bool semi_or_anti =
+      spec.type == JoinType::kLeftSemi || spec.type == JoinType::kLeftAnti;
+  layout.output_schema = left.schema();
+  if (!semi_or_anti || spec.residual != nullptr) {
+    Schema right_payload_schema =
+        right.schema().Select(layout.right_payload_idx);
+    GPIVOT_ASSIGN_OR_RETURN(Schema combined,
+                            left.schema().Concat(right_payload_schema));
+    if (spec.residual != nullptr) {
+      GPIVOT_ASSIGN_OR_RETURN(layout.residual,
+                              CompileExpr(spec.residual, combined));
+    }
+    if (!semi_or_anti) layout.output_schema = std::move(combined);
+  }
+  return layout;
+}
+
+// The actual join; the public HashJoin wraps it with instrumentation.
+Result<Table> HashJoinImpl(const Table& left, const Table& right,
+                           const JoinSpec& spec, const ExecContext& ctx) {
+  GPIVOT_ASSIGN_OR_RETURN(JoinLayout layout,
+                          MakeJoinLayout(left, right, spec));
+  const std::vector<size_t>& left_key_idx = layout.left_key_idx;
+  const std::vector<size_t>& right_key_idx = layout.right_key_idx;
+  const std::vector<size_t>& right_payload_idx = layout.right_payload_idx;
+  const Schema& output_schema = layout.output_schema;
+  const CompiledExpr& residual = layout.residual;
+  const bool semi_or_anti =
+      spec.type == JoinType::kLeftSemi || spec.type == JoinType::kLeftAnti;
 
   if (spec.type == JoinType::kInner &&
       (left.empty() || right.empty())) {
@@ -194,7 +213,7 @@ Result<Table> HashJoinImpl(const Table& left, const Table& right,
                                          : probe_table.RowAt(r);
             const Row& rrow = build_left ? probe_table.RowAt(r)
                                          : build_table.RowAt(bi);
-            Row out = combined_row_of(lrow, rrow);
+            Row out = layout.Combine(lrow, rrow);
             if (residual && !ValueIsTrue(residual(out))) continue;
             out_rows.push_back(std::move(out));
           }
@@ -229,7 +248,7 @@ Result<Table> HashJoinImpl(const Table& left, const Table& right,
             auto it = build.find(key);
             if (it == build.end()) continue;
             for (size_t li : it->second) {
-              Row out = combined_row_of(left.rows()[li], rrow);
+              Row out = layout.Combine(left.rows()[li], rrow);
               if (residual && !ValueIsTrue(residual(out))) continue;
               out_rows.push_back(std::move(out));
             }
@@ -268,7 +287,7 @@ Result<Table> HashJoinImpl(const Table& left, const Table& right,
             auto it = build.find(key);
             if (it != build.end()) {
               for (size_t ri : it->second) {
-                Row out = combined_row_of(lrow, right.rows()[ri]);
+                Row out = layout.Combine(lrow, right.rows()[ri]);
                 if (residual && !ValueIsTrue(residual(out))) continue;
                 matched = true;
                 right_matched[ri].store(1, std::memory_order_relaxed);
@@ -327,25 +346,76 @@ Result<Table> HashJoinImpl(const Table& left, const Table& right,
   return result;
 }
 
-}  // namespace
+// Index join body: every match is a (probe row, base position) pair found
+// through `base`'s cached index; `*base_rows_read` counts the distinct base
+// rows matched.
+Result<Table> IndexJoinImpl(const Table& left, const Table& right,
+                            const JoinSpec& spec, bool right_indexed,
+                            size_t* base_rows_read) {
+  if (spec.type != JoinType::kInner) {
+    return Status::InvalidArgument("IndexJoin supports only INNER joins");
+  }
+  GPIVOT_ASSIGN_OR_RETURN(JoinLayout layout,
+                          MakeJoinLayout(left, right, spec));
+  *base_rows_read = 0;
+  if (left.empty() || right.empty()) return Table(layout.output_schema);
+  const Table& base = right_indexed ? right : left;
+  const Table& probe = right_indexed ? left : right;
+  const std::vector<size_t>& base_key_idx =
+      right_indexed ? layout.right_key_idx : layout.left_key_idx;
+  const std::vector<size_t>& probe_key_idx =
+      right_indexed ? layout.left_key_idx : layout.right_key_idx;
+  std::shared_ptr<const HashIndex> index = base.Index(base_key_idx);
 
-Result<Table> HashJoin(const Table& left, const Table& right,
-                       const JoinSpec& spec, const ExecContext& ctx) {
-  obs::ScopedSpan span = obs::TraceEnabled(ctx.tracer)
-                             ? obs::ScopedSpan(ctx.tracer, "HashJoin")
-                             : obs::ScopedSpan();
-  obs::ScopedLatency latency(ctx.metrics, "exec.join.ms");
-  GPIVOT_ASSIGN_OR_RETURN(Table result, HashJoinImpl(left, right, spec, ctx));
-  // Build/probe sizes mirror HashJoinImpl's side choice: inner joins build
-  // on the smaller side, every other type builds on the right.
-  bool inner_build_left = spec.type == JoinType::kInner &&
-                          left.num_rows() < right.num_rows();
-  size_t build_rows = inner_build_left ? left.num_rows() : right.num_rows();
-  size_t probe_rows = inner_build_left ? right.num_rows() : left.num_rows();
+  std::vector<std::pair<size_t, uint32_t>> matches;  // (probe row, base row)
+  std::vector<uint32_t> hits;
+  for (size_t p = 0; p < probe.num_rows(); ++p) {
+    const Row& row = probe.RowAt(p);
+    bool has_null = false;
+    for (size_t i : probe_key_idx) has_null = has_null || row[i].is_null();
+    if (has_null) continue;  // SQL equi-joins never match NULL keys
+    hits.clear();
+    index->Find(base.rows(), row, probe_key_idx, &hits);
+    for (uint32_t b : hits) matches.emplace_back(p, b);
+  }
+  // A base row matched by several probe rows is read once.
+  std::vector<uint32_t> read(matches.size());
+  for (size_t i = 0; i < matches.size(); ++i) read[i] = matches[i].second;
+  std::sort(read.begin(), read.end());
+  *base_rows_read = std::unique(read.begin(), read.end()) - read.begin();
+  // HashJoin emits in the order of whichever side it probes (the larger
+  // one), each probe row's matches in ascending build-row order. Matches
+  // were gathered probe row by probe row; when HashJoin would probe the
+  // base instead, reorder by base position.
+  const bool hash_join_builds_left = left.num_rows() < right.num_rows();
+  if (hash_join_builds_left == right_indexed) {
+    std::sort(matches.begin(), matches.end(),
+              [](const auto& a, const auto& b) {
+                return a.second != b.second ? a.second < b.second
+                                            : a.first < b.first;
+              });
+  }
+  Table result(layout.output_schema);
+  result.mutable_rows().reserve(matches.size());
+  for (const auto& [p, b] : matches) {
+    const Row& lrow = right_indexed ? probe.RowAt(p) : base.RowAt(b);
+    const Row& rrow = right_indexed ? base.RowAt(b) : probe.RowAt(p);
+    Row out = layout.Combine(lrow, rrow);
+    if (layout.residual && !ValueIsTrue(layout.residual(out))) continue;
+    result.AddRow(std::move(out));
+  }
+  return result;
+}
+
+// Shared join accounting: per-node cost stats, exec.join.* counters and
+// the span's attributes.
+void RecordJoin(const ExecContext& ctx, obs::ScopedSpan* span, JoinType type,
+                size_t rows_in, size_t build_rows, size_t probe_rows,
+                const Table& result) {
   if (ctx.cost != nullptr && ctx.cost_node >= 0) {
     obs::NodeStats stats;
     stats.invocations = 1;
-    stats.rows_in = left.num_rows() + right.num_rows();
+    stats.rows_in = rows_in;
     stats.rows_out = result.num_rows();
     stats.build_rows = build_rows;
     stats.probe_rows = probe_rows;
@@ -364,12 +434,50 @@ Result<Table> HashJoin(const Table& left, const Table& right,
         "exec.join.bytes_allocated",
         result.num_rows() * result.schema().num_columns() * sizeof(Value));
   }
-  if (span.active()) {
-    span.AddAttr("type", JoinTypeToString(spec.type));
-    span.AddAttr("build_rows", static_cast<uint64_t>(build_rows));
-    span.AddAttr("probe_rows", static_cast<uint64_t>(probe_rows));
-    span.AddAttr("rows_out", static_cast<uint64_t>(result.num_rows()));
+  if (span->active()) {
+    span->AddAttr("type", JoinTypeToString(type));
+    span->AddAttr("build_rows", static_cast<uint64_t>(build_rows));
+    span->AddAttr("probe_rows", static_cast<uint64_t>(probe_rows));
+    span->AddAttr("rows_out", static_cast<uint64_t>(result.num_rows()));
   }
+}
+
+}  // namespace
+
+Result<Table> HashJoin(const Table& left, const Table& right,
+                       const JoinSpec& spec, const ExecContext& ctx) {
+  obs::ScopedSpan span = obs::TraceEnabled(ctx.tracer)
+                             ? obs::ScopedSpan(ctx.tracer, "HashJoin")
+                             : obs::ScopedSpan();
+  obs::ScopedLatency latency(ctx.metrics, "exec.join.ms");
+  GPIVOT_ASSIGN_OR_RETURN(Table result, HashJoinImpl(left, right, spec, ctx));
+  // Build/probe sizes mirror HashJoinImpl's side choice: inner joins build
+  // on the smaller side, every other type builds on the right.
+  bool inner_build_left = spec.type == JoinType::kInner &&
+                          left.num_rows() < right.num_rows();
+  size_t build_rows = inner_build_left ? left.num_rows() : right.num_rows();
+  size_t probe_rows = inner_build_left ? right.num_rows() : left.num_rows();
+  RecordJoin(ctx, &span, spec.type, left.num_rows() + right.num_rows(),
+             build_rows, probe_rows, result);
+  return result;
+}
+
+Result<Table> IndexJoin(const Table& left, const Table& right,
+                        const JoinSpec& spec, bool right_indexed,
+                        const ExecContext& ctx, size_t* base_rows_read) {
+  obs::ScopedSpan span = obs::TraceEnabled(ctx.tracer)
+                             ? obs::ScopedSpan(ctx.tracer, "IndexJoin")
+                             : obs::ScopedSpan();
+  obs::ScopedLatency latency(ctx.metrics, "exec.join.ms");
+  size_t read = 0;
+  GPIVOT_ASSIGN_OR_RETURN(
+      Table result, IndexJoinImpl(left, right, spec, right_indexed, &read));
+  if (base_rows_read != nullptr) *base_rows_read = read;
+  // Nothing is built per call; the probe side is the non-indexed input and
+  // the rows fetched through the index count as input.
+  const size_t probe_rows =
+      right_indexed ? left.num_rows() : right.num_rows();
+  RecordJoin(ctx, &span, spec.type, probe_rows + read, 0, probe_rows, result);
   return result;
 }
 

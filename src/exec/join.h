@@ -47,6 +47,20 @@ struct JoinSpec {
 Result<Table> HashJoin(const Table& left, const Table& right,
                        const JoinSpec& spec, const ExecContext& ctx = {});
 
+// Inner equi-join with the same output as HashJoin(left, right, spec) — the
+// same rows in the same order — that reads one side, a base table, through
+// its cached Table::Index on the join keys instead of hashing or scanning
+// it: only the other side's rows are probed, so the cost follows that side
+// (typically a delta) once the index exists. `right_indexed` picks the
+// indexed side. Cost reports count no build rows, the other side's rows as
+// probe rows and the distinct base rows matched as input; `base_rows_read`,
+// when not null, receives that count. Sequential: the output is independent of
+// ctx.num_threads and the chunk width.
+Result<Table> IndexJoin(const Table& left, const Table& right,
+                        const JoinSpec& spec, bool right_indexed,
+                        const ExecContext& ctx = {},
+                        size_t* base_rows_read = nullptr);
+
 // Convenience: natural inner equi-join on identically named `keys`.
 Result<Table> EquiJoin(const Table& left, const Table& right,
                        const std::vector<std::string>& keys,

@@ -3,6 +3,7 @@
 
 #include <optional>
 #include <string>
+#include <vector>
 #include <unordered_map>
 
 #include "relation/table.h"
@@ -30,18 +31,21 @@ struct Delta {
 using SourceDeltas = std::unordered_map<std::string, Delta>;
 
 // Applies `delta` to `table` in place: bag-deletes `delta.deletes` (each
-// delete row must match an existing row), then appends `delta.inserts`.
-// All-or-nothing per table: any failure leaves `table` untouched.
+// delete row removes the first matching stored row, as exec::BagDifference
+// does; each must match), compacting the survivors in order, then appends
+// `delta.inserts`. All-or-nothing per table: any failure leaves `table`
+// untouched.
 Status ApplyDeltaToTable(Table* table, const Delta& delta);
 
 // What an epoch needs to restore a base table byte-identically after
-// ApplyDeltaToTableWithUndo. Exactly one restoration applies: a delta with
-// deletes rebuilds the table, so the whole pre-state is moved (not copied)
-// into `replaced`; an append-only delta just records the truncation point.
-// Neither set means the apply failed before mutating.
+// ApplyDeltaToTableWithUndo; it holds only the delta's footprint, never a
+// copy of the table. `truncate_to` is the row count between the deletes and
+// the inserts (unset = the apply never mutated); the removed rows sit at
+// their ascending pre-apply positions.
 struct TableUndo {
-  std::optional<Table> replaced;
   std::optional<size_t> truncate_to;
+  std::vector<size_t> removed_positions;
+  std::vector<Row> removed_rows;
 };
 
 // Same as ApplyDeltaToTable, but fills `undo` so the caller can restore the

@@ -116,17 +116,28 @@ Result<Table> EvaluatePostRestricted(
 
   switch (plan->kind()) {
     case PlanKind::kScan: {
+      const auto* scan = static_cast<const ScanNode*>(plan.get());
+      GPIVOT_ASSIGN_OR_RETURN(bool unchanged, propagator->Unchanged(plan));
+      if (unchanged) {
+        // An unchanged base table: fetch the keyed rows through its
+        // persistent index instead of scanning it.
+        GPIVOT_ASSIGN_OR_RETURN(
+            std::shared_ptr<const Table> base,
+            propagator->pre_catalog().GetSharedTable(scan->table_name()));
+        GPIVOT_ASSIGN_OR_RETURN(
+            Table restricted,
+            exec::IndexSemiJoinKeySet(*base, key_names, keys));
+        propagator->RecordBaseRead(plan, restricted.num_rows());
+        return restricted;
+      }
       // Post-state restriction computed from the pre state plus the delta
       // directly, so the full post table is never materialized:
       //   σ_keys(post) = σ_keys(pre) ∸ σ_keys(∇) ⊎ σ_keys(Δ).
-      const auto* scan = static_cast<const ScanNode*>(plan.get());
       GPIVOT_ASSIGN_OR_RETURN(auto pre, propagator->EvaluatePreRef(plan));
       GPIVOT_ASSIGN_OR_RETURN(Table restricted,
                               exec::SemiJoinKeySet(*pre, key_names, keys));
       GPIVOT_RETURN_NOT_OK(restricted.SetKey({}));
-      auto it = propagator->deltas().find(scan->table_name());
-      if (it == propagator->deltas().end()) return restricted;
-      const Delta& delta = it->second;
+      const Delta& delta = propagator->deltas().at(scan->table_name());
       if (!delta.deletes.empty()) {
         GPIVOT_ASSIGN_OR_RETURN(
             Table deleted,

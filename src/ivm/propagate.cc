@@ -91,6 +91,35 @@ Result<std::shared_ptr<const Table>> DeltaPropagator::EvaluatePostRef(
   return EvaluateRef(plan, *post, &post_memo_);
 }
 
+Result<Table> DeltaPropagator::JoinWithBase(const Table& delta,
+                                            const PlanPtr& scan,
+                                            const exec::JoinSpec& spec,
+                                            bool base_right) {
+  const auto* node = static_cast<const ScanNode*>(scan.get());
+  GPIVOT_ASSIGN_OR_RETURN(std::shared_ptr<const Table> base,
+                          pre_->GetSharedTable(node->table_name()));
+  size_t read = 0;
+  GPIVOT_ASSIGN_OR_RETURN(
+      Table joined,
+      base_right
+          ? exec::IndexJoin(delta, *base, spec, true, ctx_, &read)
+          : exec::IndexJoin(*base, delta, spec, false, ctx_, &read));
+  RecordBaseRead(scan, read);
+  return joined;
+}
+
+void DeltaPropagator::RecordBaseRead(const PlanPtr& scan, size_t rows) {
+  if (rows == 0 || ctx_.cost == nullptr || ctx_.plan_ids == nullptr) return;
+  int id = ctx_.plan_ids->IdOf(scan.get());
+  if (id < 0) return;
+  obs::NodeStats stats;
+  stats.invocations = 1;
+  stats.rows_out = rows;
+  stats.base_accesses = 1;
+  stats.base_rows_read = rows;
+  ctx_.cost->Record(id, stats);
+}
+
 Result<bool> DeltaPropagator::Unchanged(const PlanPtr& plan) {
   if (plan->kind() == PlanKind::kScan) {
     const auto* scan = static_cast<const ScanNode*>(plan.get());
@@ -209,6 +238,25 @@ Result<Delta> DeltaPropagator::PropagateImpl(const PlanPtr& plan) {
                               Unchanged(node->right()));
       GPIVOT_ASSIGN_OR_RETURN(bool left_unchanged, Unchanged(node->left()));
 
+      // One side unchanged: the delta joins that side's pre state. An
+      // unchanged base table is probed through its persistent index, so
+      // the work follows |Δ| rather than |base|.
+      if (right_unchanged && node->right()->kind() == PlanKind::kScan) {
+        GPIVOT_ASSIGN_OR_RETURN(Delta left, Propagate(node->left()));
+        GPIVOT_ASSIGN_OR_RETURN(
+            Table ins, JoinWithBase(left.inserts, node->right(), spec, true));
+        GPIVOT_ASSIGN_OR_RETURN(
+            Table del, JoinWithBase(left.deletes, node->right(), spec, true));
+        return Delta{std::move(ins), std::move(del)};
+      }
+      if (left_unchanged && node->left()->kind() == PlanKind::kScan) {
+        GPIVOT_ASSIGN_OR_RETURN(Delta right, Propagate(node->right()));
+        GPIVOT_ASSIGN_OR_RETURN(
+            Table ins, JoinWithBase(right.inserts, node->left(), spec, false));
+        GPIVOT_ASSIGN_OR_RETURN(
+            Table del, JoinWithBase(right.deletes, node->left(), spec, false));
+        return Delta{std::move(ins), std::move(del)};
+      }
       if (right_unchanged) {
         GPIVOT_ASSIGN_OR_RETURN(Delta left, Propagate(node->left()));
         GPIVOT_ASSIGN_OR_RETURN(auto right, EvaluatePreRef(node->right()));

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "algebra/plan.h"
+#include "exec/join.h"
 #include "ivm/delta.h"
 #include "util/result.h"
 
@@ -47,6 +48,17 @@ class DeltaPropagator {
   Result<bool> Unchanged(const PlanPtr& plan);
 
   const SourceDeltas& deltas() const { return *deltas_; }
+  const Catalog& pre_catalog() const { return *pre_; }
+
+  // `delta` ⋈ the unchanged base table under `scan` (the right join input
+  // when `base_right`), reading the base through its cached hash index on
+  // the join keys; counts the fetched rows as the scan's base read.
+  Result<Table> JoinWithBase(const Table& delta, const PlanPtr& scan,
+                             const exec::JoinSpec& spec, bool base_right);
+
+  // Records a keyed read of `rows` base rows at `scan`'s cost-report node
+  // (one base access; nothing when no row was read).
+  void RecordBaseRead(const PlanPtr& scan, size_t rows);
 
  private:
   Result<Delta> PropagateImpl(const PlanPtr& plan);

@@ -9,6 +9,60 @@
 
 namespace gpivot {
 
+namespace {
+
+std::atomic<uint64_t> g_hash_index_builds{0};
+
+}  // namespace
+
+HashIndex::HashIndex(const std::vector<Row>& rows, std::vector<size_t> columns)
+    : columns_(std::move(columns)) {
+  GPIVOT_CHECK(rows.size() < UINT32_MAX) << "HashIndex: too many rows";
+  // Power-of-two bucket count >= rows (load factor <= 1), at least 2.
+  size_t buckets = 2;
+  shift_ = 63;
+  while (buckets < rows.size()) {
+    buckets <<= 1;
+    --shift_;
+  }
+  std::vector<uint32_t> bucket_of(rows.size());
+  offsets_.assign(buckets + 1, 0);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    bucket_of[i] = static_cast<uint32_t>(Bucket(HashRowAt(rows[i], columns_)));
+    ++offsets_[bucket_of[i] + 1];
+  }
+  for (size_t b = 0; b < buckets; ++b) offsets_[b + 1] += offsets_[b];
+  // Counting sort by bucket; ascending i keeps each bucket in row order.
+  positions_.resize(rows.size());
+  std::vector<uint32_t> next(offsets_.begin(), offsets_.end() - 1);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    positions_[next[bucket_of[i]]++] = static_cast<uint32_t>(i);
+  }
+  g_hash_index_builds.fetch_add(1, std::memory_order_relaxed);
+}
+
+size_t HashIndex::Bucket(size_t hash) const {
+  // Fibonacci hashing: the top bits of the product mix every hash bit.
+  return static_cast<size_t>((static_cast<uint64_t>(hash) *
+                              0x9e3779b97f4a7c15ULL) >> shift_);
+}
+
+void HashIndex::Find(const std::vector<Row>& rows, const Row& probe,
+                     const std::vector<size_t>& probe_indices,
+                     std::vector<uint32_t>* out) const {
+  const size_t b = Bucket(HashRowAt(probe, probe_indices));
+  for (uint32_t i = offsets_[b]; i < offsets_[b + 1]; ++i) {
+    const uint32_t pos = positions_[i];
+    if (RowsEqualAt(rows[pos], columns_, probe, probe_indices)) {
+      out->push_back(pos);
+    }
+  }
+}
+
+uint64_t HashIndexBuilds() {
+  return g_hash_index_builds.load(std::memory_order_relaxed);
+}
+
 Table::Table(Schema schema, std::vector<Row> rows)
     : schema_(std::move(schema)), rows_(std::move(rows)) {
   for (const Row& row : rows_) {
@@ -20,11 +74,9 @@ Table::Table(Schema schema, std::vector<Row> rows)
 
 Table::Table(const Table& other)
     : schema_(other.schema_), rows_(other.rows_), key_(other.key_) {
-  // Copies share the immutable column views: the cache stays warm across
-  // the copy-then-stage pattern in the maintenance path.
-  std::lock_guard<std::mutex> lock(other.columns_mu_);
-  columns_ = other.columns_;
-  has_column_cache_.store(!columns_.empty(), std::memory_order_relaxed);
+  // Copies share the immutable column views and indexes: the caches stay
+  // warm across the copy-then-stage pattern in the maintenance path.
+  ShareCachesOf(other);
 }
 
 Table& Table::operator=(const Table& other) {
@@ -32,9 +84,7 @@ Table& Table::operator=(const Table& other) {
   schema_ = other.schema_;
   rows_ = other.rows_;
   key_ = other.key_;
-  std::lock_guard<std::mutex> lock(other.columns_mu_);
-  columns_ = other.columns_;
-  has_column_cache_.store(!columns_.empty(), std::memory_order_relaxed);
+  ShareCachesOf(other);
   return *this;
 }
 
@@ -42,10 +92,7 @@ Table::Table(Table&& other) noexcept
     : schema_(std::move(other.schema_)),
       rows_(std::move(other.rows_)),
       key_(std::move(other.key_)) {
-  columns_ = std::move(other.columns_);
-  has_column_cache_.store(!columns_.empty(), std::memory_order_relaxed);
-  other.columns_.clear();
-  other.has_column_cache_.store(false, std::memory_order_relaxed);
+  TakeCachesOf(&other);
 }
 
 Table& Table::operator=(Table&& other) noexcept {
@@ -53,11 +100,31 @@ Table& Table::operator=(Table&& other) noexcept {
   schema_ = std::move(other.schema_);
   rows_ = std::move(other.rows_);
   key_ = std::move(other.key_);
-  columns_ = std::move(other.columns_);
-  has_column_cache_.store(!columns_.empty(), std::memory_order_relaxed);
-  other.columns_.clear();
-  other.has_column_cache_.store(false, std::memory_order_relaxed);
+  TakeCachesOf(&other);
   return *this;
+}
+
+void Table::ShareCachesOf(const Table& other) {
+  {
+    std::lock_guard<std::mutex> lock(other.columns_mu_);
+    columns_ = other.columns_;
+  }
+  {
+    std::lock_guard<std::mutex> lock(other.indexes_mu_);
+    indexes_ = other.indexes_;
+  }
+  has_cache_.store(!columns_.empty() || !indexes_.empty(),
+                   std::memory_order_relaxed);
+}
+
+void Table::TakeCachesOf(Table* other) {
+  columns_ = std::move(other->columns_);
+  indexes_ = std::move(other->indexes_);
+  other->columns_.clear();
+  other->indexes_.clear();
+  has_cache_.store(!columns_.empty() || !indexes_.empty(),
+                   std::memory_order_relaxed);
+  other->has_cache_.store(false, std::memory_order_relaxed);
 }
 
 std::shared_ptr<const ColumnVector> Table::ColumnData(size_t col) const {
@@ -79,7 +146,7 @@ std::shared_ptr<const ColumnVector> Table::ColumnData(size_t col) const {
     columns_.assign(schema_.num_columns(), nullptr);
   }
   if (columns_[col] == nullptr) columns_[col] = std::move(built);
-  has_column_cache_.store(true, std::memory_order_relaxed);
+  has_cache_.store(true, std::memory_order_relaxed);
   return columns_[col];
 }
 
@@ -89,17 +156,40 @@ std::shared_ptr<const ColumnVector> Table::CachedColumnData(size_t col) const {
   return columns_[col];
 }
 
-void Table::InvalidateColumns() {
-  std::lock_guard<std::mutex> lock(columns_mu_);
-  columns_.clear();
-  has_column_cache_.store(false, std::memory_order_relaxed);
+std::shared_ptr<const HashIndex> Table::Index(
+    const std::vector<size_t>& columns) const {
+  for (size_t col : columns) {
+    GPIVOT_CHECK(col < schema_.num_columns())
+        << "Index column " << col << " out of range";
+  }
+  // Held across the build: racing first users wait for the one build
+  // instead of each hashing the whole table.
+  std::lock_guard<std::mutex> lock(indexes_mu_);
+  for (const std::shared_ptr<const HashIndex>& index : indexes_) {
+    if (index->columns() == columns) return index;
+  }
+  indexes_.push_back(std::make_shared<const HashIndex>(rows_, columns));
+  has_cache_.store(true, std::memory_order_relaxed);
+  return indexes_.back();
+}
+
+void Table::InvalidateCaches() {
+  {
+    std::lock_guard<std::mutex> lock(columns_mu_);
+    columns_.clear();
+  }
+  {
+    std::lock_guard<std::mutex> lock(indexes_mu_);
+    indexes_.clear();
+  }
+  has_cache_.store(false, std::memory_order_relaxed);
 }
 
 void Table::AddRow(Row row) {
   GPIVOT_CHECK(row.size() == schema_.num_columns())
       << "row arity " << row.size() << " != schema arity "
       << schema_.num_columns() << " " << schema_.ToString();
-  if (has_column_cache_.load(std::memory_order_relaxed)) InvalidateColumns();
+  if (has_cache_.load(std::memory_order_relaxed)) InvalidateCaches();
   rows_.push_back(std::move(row));
 }
 

@@ -2,6 +2,7 @@
 #define GPIVOT_RELATION_TABLE_H_
 
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -15,6 +16,37 @@
 
 namespace gpivot {
 
+// A flat hash index over a table's rows at a fixed column list: one
+// offset per bucket plus one row position per row (CSR layout, no node per
+// row, ~8-12 bytes per row). Positions within a bucket ascend, so the
+// matches of one key come out in row order. NULL cells are indexed like any
+// value (NULL equals NULL); SQL equi-joins skip NULL probe keys themselves.
+class HashIndex {
+ public:
+  HashIndex(const std::vector<Row>& rows, std::vector<size_t> columns);
+
+  const std::vector<size_t>& columns() const { return columns_; }
+
+  // Appends to `out`, ascending, the positions of the rows of `rows` (the
+  // rows this index was built over) whose cells at columns() equal
+  // `probe`'s cells at `probe_indices`.
+  void Find(const std::vector<Row>& rows, const Row& probe,
+            const std::vector<size_t>& probe_indices,
+            std::vector<uint32_t>* out) const;
+
+ private:
+  size_t Bucket(size_t hash) const;
+
+  std::vector<size_t> columns_;
+  int shift_ = 64;
+  std::vector<uint32_t> offsets_;    // bucket b holds [offsets_[b], offsets_[b+1])
+  std::vector<uint32_t> positions_;  // row positions grouped by bucket
+};
+
+// Process-wide count of HashIndex builds (a diagnostic for tests: cached
+// indexes must be built once, however many readers race for them).
+uint64_t HashIndexBuilds();
+
 // A bag (multiset) of rows with a schema and an optional declared key.
 // The key, when declared, is the prerequisite for pivot applicability and
 // for MERGE-style maintenance; it is validated on demand, not per insert.
@@ -26,7 +58,9 @@ namespace gpivot {
 // shared by copies (the views are immutable), safe to build from multiple
 // reader threads, and invalidated by any mutation entry point (AddRow,
 // mutable_rows, the sort in Sorted). Since the views reproduce the rows
-// exactly, warm/cold cache state is never observable in results.
+// exactly, warm/cold cache state is never observable in results. Hash
+// indexes per column list (Index) follow the same rules: built lazily,
+// shared by copies, dropped by every mutation.
 class Table {
  public:
   Table() = default;
@@ -41,9 +75,7 @@ class Table {
   const Schema& schema() const { return schema_; }
   const std::vector<Row>& rows() const { return rows_; }
   std::vector<Row>& mutable_rows() {
-    if (has_column_cache_.load(std::memory_order_relaxed)) {
-      InvalidateColumns();
-    }
+    if (has_cache_.load(std::memory_order_relaxed)) InvalidateCaches();
     return rows_;
   }
   size_t num_rows() const { return rows_.size(); }
@@ -61,6 +93,12 @@ class Table {
   // The storage codec uses this to take the column-major encode path only
   // when the operators already paid for the views.
   std::shared_ptr<const ColumnVector> CachedColumnData(size_t col) const;
+
+  // Hash index over the columns at `columns`, built on first use and cached
+  // until the next mutation. Thread-safe: concurrent first callers wait
+  // for one build and share it.
+  std::shared_ptr<const HashIndex> Index(
+      const std::vector<size_t>& columns) const;
 
   // Appends a row; aborts when arity mismatches the schema.
   void AddRow(Row row);
@@ -85,18 +123,23 @@ class Table {
   std::string ToString(size_t max_rows = 50) const;
 
  private:
-  void InvalidateColumns();
+  void InvalidateCaches();
+  void ShareCachesOf(const Table& other);
+  void TakeCachesOf(Table* other);
 
   Schema schema_;
   std::vector<Row> rows_;
   std::vector<std::string> key_;
 
-  // Lazily-built column views; empty vector = cold. The atomic flag lets
-  // the mutation entry points skip the mutex entirely while the cache is
-  // cold (the common case for freshly built operator outputs).
+  // Lazily-built column views (empty vector = cold) and hash indexes. The
+  // atomic flag lets the mutation entry points skip both mutexes while
+  // everything is cold (the common case for freshly built operator
+  // outputs). indexes_mu_ is held across an index build.
   mutable std::mutex columns_mu_;
   mutable std::vector<std::shared_ptr<const ColumnVector>> columns_;
-  mutable std::atomic<bool> has_column_cache_{false};
+  mutable std::mutex indexes_mu_;
+  mutable std::vector<std::shared_ptr<const HashIndex>> indexes_;
+  mutable std::atomic<bool> has_cache_{false};
 };
 
 }  // namespace gpivot

@@ -43,6 +43,12 @@ Result<std::optional<Row>> QueryService::PointLookup(
   if (runtime != nullptr) runtime->AddCounter("serve.query.ops");
   GPIVOT_ASSIGN_OR_RETURN(std::shared_ptr<const Snapshot> snapshot,
                           AcquireChecked(view, handle));
+  const size_t key_arity = snapshot->index().key_indices().size();
+  if (key.size() != key_arity) {
+    return Status::InvalidArgument(
+        StrCat("PointLookup on '", view, "': key has ", key.size(),
+               " values, the view's key has ", key_arity, " columns"));
+  }
   std::optional<size_t> position = snapshot->index().LookupKey(key);
   if (!position.has_value()) return std::optional<Row>();
   return std::optional<Row>(snapshot->table().rows()[*position]);

@@ -33,9 +33,11 @@ class QueryService {
                         const ExecContext& ctx = {})
       : store_(store), ctx_(ctx) {}
 
-  // Key lookup through the snapshot's KeyIndex. `key` is the projected key
-  // row (view key columns, in key order). nullopt when the key is absent;
-  // NotFound status when the view itself is unknown.
+  // Key lookup through the snapshot's KeyIndex. `key` is the full projected
+  // key row: one value per view key column, in key order (a view whose key
+  // spans several columns cannot be probed by a prefix of them). nullopt
+  // when the key is absent; InvalidArgument when `key` has the wrong
+  // number of values; NotFound when the view itself is unknown.
   Result<std::optional<Row>> PointLookup(const std::string& view,
                                          const Row& key,
                                          ReaderHandle* handle) const;

@@ -377,6 +377,38 @@ TEST(QueryServiceTest, PointLookupFindsAndMisses) {
       service.PointLookup("nope", key, reader.get()).status().IsNotFound());
 }
 
+TEST(QueryServiceTest, PointLookupRejectsKeyOfWrongWidth) {
+  ViewManager manager = MakePivotManager();
+  SnapshotStore store(&manager);
+  ASSERT_OK(store.Attach());
+  ScopedReader reader(&store);
+  QueryService service(&store);
+
+  ASSERT_OK_AND_ASSIGN(const ivm::MaterializedView* view,
+                       manager.GetView("v"));
+  ASSERT_GT(view->num_rows(), 0u);
+  Row key = ProjectRow(view->RowAt(0), view->key_indices());
+
+  Row wider = key;
+  wider.push_back(I(1));
+  EXPECT_TRUE(service.PointLookup("v", wider, reader.get())
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(service.PointLookup("v", Row{}, reader.get())
+                  .status()
+                  .IsInvalidArgument());
+  if (key.size() > 1) {
+    Row prefix(key.begin(), key.end() - 1);
+    EXPECT_TRUE(service.PointLookup("v", prefix, reader.get())
+                    .status()
+                    .IsInvalidArgument());
+  }
+  // The full key still answers.
+  ASSERT_OK_AND_ASSIGN(std::optional<Row> hit,
+                       service.PointLookup("v", key, reader.get()));
+  EXPECT_TRUE(hit.has_value());
+}
+
 TEST(QueryServiceTest, ScanFiltersAgainstOneSnapshot) {
   ViewManager manager = MakePivotManager();
   SnapshotStore store(&manager);
