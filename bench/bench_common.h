@@ -81,12 +81,6 @@ const std::vector<double>& Fractions();
 // numbers.
 uint64_t BenchEnvUint64(const char* name, uint64_t fallback);
 
-// Strict double env parsing (GPIVOT_BENCH_ZIPF_THETA): unset/empty yields
-// `fallback`; anything that does not consume the whole value as a finite
-// non-negative decimal number prints the offending variable and exits 2,
-// for the same reason as BenchEnvUint64.
-double BenchEnvDouble(const char* name, double fallback);
-
 // Identical-epoch repetitions per measured point (GPIVOT_BENCH_REPS,
 // default 3; 0 is clamped to 1).
 size_t BenchReps();

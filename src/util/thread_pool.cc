@@ -1,6 +1,7 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 
 #include "obs/metrics.h"
@@ -86,12 +87,12 @@ bool ThreadPool::OnWorkerThread() { return t_on_pool_worker; }
 
 void ParallelFor(const ExecContext& ctx, size_t n,
                  const std::function<void(size_t)>& fn) {
-  size_t stripes = std::min(ctx.num_threads, n);
+  size_t workers = std::min(ctx.num_threads, n);
   obs::MetricsRegistry& pool_metrics = obs::MetricsRegistry::Global();
   if (pool_metrics.enabled()) {
     pool_metrics.AddCounter("thread_pool.parallel_for.calls");
   }
-  if (stripes <= 1 || ThreadPool::OnWorkerThread()) {
+  if (workers <= 1 || ThreadPool::OnWorkerThread()) {
     if (pool_metrics.enabled()) {
       pool_metrics.AddCounter("thread_pool.parallel_for.inline_calls");
     }
@@ -99,22 +100,26 @@ void ParallelFor(const ExecContext& ctx, size_t n,
     return;
   }
   if (pool_metrics.enabled()) {
-    pool_metrics.AddCounter("thread_pool.parallel_for.stripes", stripes);
+    pool_metrics.AddCounter("thread_pool.parallel_for.workers", workers);
   }
-  // Static contiguous stripes: stripe t covers [t*n/stripes,
-  // (t+1)*n/stripes). The caller runs stripe 0; workers run the rest.
-  auto run_stripe = [&](size_t t) {
-    size_t begin = t * n / stripes;
-    size_t end = (t + 1) * n / stripes;
-    for (size_t i = begin; i < end; ++i) fn(i);
+  // Every worker (pool threads plus the caller) loops claiming the next
+  // unclaimed index until the range is exhausted. Relaxed ordering suffices
+  // for the claim: each index is claimed exactly once, and the completion
+  // handshake below publishes all of fn's writes to the caller.
+  std::atomic<size_t> next{0};
+  auto drain = [&] {
+    for (size_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
+         i = next.fetch_add(1, std::memory_order_relaxed)) {
+      fn(i);
+    }
   };
   std::mutex done_mu;
   std::condition_variable done_cv;
-  size_t remaining = stripes - 1;
+  size_t remaining = workers - 1;
   ThreadPool& pool = ThreadPool::Global();
-  for (size_t t = 1; t < stripes; ++t) {
-    pool.Submit([&, t] {
-      run_stripe(t);
+  for (size_t t = 1; t < workers; ++t) {
+    pool.Submit([&] {
+      drain();
       // Notify while holding done_mu: the waiting caller can't observe
       // remaining == 0 (and destroy done_cv on return) until this worker
       // releases the lock, which is after notify_one completes.
@@ -123,7 +128,7 @@ void ParallelFor(const ExecContext& ctx, size_t n,
       done_cv.notify_one();
     });
   }
-  run_stripe(0);
+  drain();
   std::unique_lock<std::mutex> lock(done_mu);
   done_cv.wait(lock, [&] { return remaining == 0; });
 }

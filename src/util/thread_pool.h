@@ -30,11 +30,11 @@ inline constexpr size_t kVectorChunkAuto = static_cast<size_t>(-1);
 // so every caller that doesn't opt in is unaffected.
 //
 // Parallel operators are *deterministic*: their output is byte-identical
-// for every num_threads value, because work is split into statically
-// assigned stripes whose results are combined in stripe order (no work
-// stealing, no contended output buffers). The §4.3 analogy: stripes play
-// the role of GPIVOT partitions, the stripe-order combine plays the
-// group-wise merge.
+// for every num_threads value. Which thread runs which index is left to
+// scheduling, but every index writes only its own pre-sized slot, and the
+// slots are combined in index order (no contended output buffers). The
+// §4.3 analogy: slots play the role of GPIVOT partitions, the index-order
+// combine plays the group-wise merge.
 struct ExecContext {
   size_t num_threads = 1;
 
@@ -78,10 +78,11 @@ struct ExecContext {
   size_t vector_chunk_size = kVectorChunkAuto;
 };
 
-// A fixed set of worker threads draining a FIFO task queue. Deliberately
-// work-stealing-free: ParallelFor assigns stripes statically, so a run's
-// write pattern (which thread writes which output slot) is a pure function
-// of (n, num_threads) — the foundation of the determinism guarantee.
+// A fixed set of worker threads draining a FIFO task queue. ParallelFor
+// submits one task per extra worker; each task claims indices until the
+// range is exhausted. Results stay deterministic because callers write
+// per-index slots and combine them in index order, never because a given
+// thread runs a given index.
 class ThreadPool {
  public:
   explicit ThreadPool(size_t num_threads);
@@ -98,7 +99,7 @@ class ThreadPool {
 
   // Process-wide pool, created on first use with
   // max(hardware_concurrency, 4) - 1 workers (the ParallelFor caller
-  // contributes the remaining stripe), so requested parallelism is
+  // is the remaining worker), so requested parallelism is
   // available even on small machines.
   static ThreadPool& Global();
 
@@ -118,12 +119,15 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
-// Runs fn(i) for every i in [0, n), splitting the index range into at most
-// ctx.num_threads contiguous stripes on the global pool. Runs inline (plain
-// loop) when ctx.num_threads <= 1, n <= 1, or when already on a pool
-// worker. Returns after every index completed. fn must confine its writes
-// to per-index state; it must not throw (this codebase reports errors via
-// Status slots the caller indexes by i).
+// Runs fn(i) for every i in [0, n) on up to min(ctx.num_threads, n)
+// workers (the caller plus pool threads). Workers claim indices one at a
+// time from a shared counter, so a worker that finishes a cheap index takes
+// the next one instead of idling behind a fixed stripe: one expensive index
+// (a heavy view, a skewed partition) does not hold back the rest. Runs
+// inline (plain loop, in index order) when ctx.num_threads <= 1, n <= 1,
+// or when already on a pool worker. Returns after every index completed.
+// fn must confine its writes to per-index state; it must not throw (this
+// codebase reports errors via Status slots the caller indexes by i).
 void ParallelFor(const ExecContext& ctx, size_t n,
                  const std::function<void(size_t)>& fn);
 

@@ -32,7 +32,6 @@ class BenchDiffTest : public ::testing::Test {
 
   struct FileSpec {
     int num_threads = 1;
-    int num_shards = -1;  // < 0: omit the field (file predating sharding)
     double wall_ms = 10.0;
     int view_rows = 500;
     std::string extra_row_fields;  // appended inside the result object
@@ -40,22 +39,16 @@ class BenchDiffTest : public ::testing::Test {
 
   // One-figure BENCH document with a single FullRecompute@1% row.
   static std::string Doc(const FileSpec& spec) {
-    char shards[64] = "";
-    if (spec.num_shards >= 0) {
-      std::snprintf(shards, sizeof(shards), " \"num_shards\": %d,\n",
-                    spec.num_shards);
-    }
     char buf[1024];
     std::snprintf(
         buf, sizeof(buf),
         "{\"figure\": \"Fig/Test\", \"scale_factor\": 0.0100, \"seed\": 7,\n"
         " \"num_threads\": %d, \"hardware_threads\": 8,\n"
-        "%s"
         " \"results\": [{\"strategy\": \"FullRecompute\", "
         "\"delta_fraction\": 0.0100, \"wall_ms\": %.4f, "
         "\"wall_ms_median\": %.4f, \"reps\": 3, \"view_rows\": %d, "
         "\"delta_rows\": 50%s}]}\n",
-        spec.num_threads, shards, spec.wall_ms, spec.wall_ms, spec.view_rows,
+        spec.num_threads, spec.wall_ms, spec.wall_ms, spec.view_rows,
         spec.extra_row_fields.c_str());
     return buf;
   }
@@ -120,40 +113,46 @@ TEST_F(BenchDiffTest, ThreadCountMismatchSkipsWallGate) {
   EXPECT_NE(report.notes[0].find("num_threads differ"), std::string::npos);
 }
 
-TEST_F(BenchDiffTest, ShardCountMismatchSkipsWallGate) {
-  // Shard count is a timing-only knob like thread count: rows and counters
-  // still gate, but wall time across different GPIVOT_SHARDS would flag
-  // the speedup sharding exists to produce.
-  WriteSide("base", Doc({.num_shards = 1, .wall_ms = 10.0}));
-  WriteSide("cand", Doc({.num_shards = 4, .wall_ms = 100.0}));
-  BenchDiffReport report;
-  EXPECT_EQ(Diff({}, &report), kDiffOk) << report.ToString();
-  ASSERT_FALSE(report.notes.empty());
-  EXPECT_NE(report.notes[0].find("num_shards differ"), std::string::npos);
-
-  // Deterministic facts still gate under the shard mismatch.
-  WriteSide("cand", Doc({.num_shards = 4, .view_rows = 501}));
-  BenchDiffReport rows_report;
-  EXPECT_EQ(Diff({}, &rows_report), kDiffFailed);
-  EXPECT_NE(rows_report.ToString().find("view_rows"), std::string::npos);
-}
-
 TEST_F(BenchDiffTest, FilesWithoutShardFieldStayWallComparable) {
-  // Legacy documents (no num_shards on either side) read as -1 vs -1:
-  // equal, so the wall gate still applies and a real regression fails.
+  // Documents carry no num_shards field: the wall gate applies, so a real
+  // regression fails and equal timings pass.
   WriteSide("base", Doc({.wall_ms = 10.0}));
   WriteSide("cand", Doc({.wall_ms = 100.0}));
   BenchDiffReport report;
   EXPECT_EQ(Diff({}, &report), kDiffFailed);
   EXPECT_NE(report.ToString().find("wall time regressed"), std::string::npos);
 
-  // One side gaining the field (candidate built after the sharding change,
-  // baseline from before) counts as a mismatch: skip, don't fail.
-  WriteSide("cand", Doc({.num_shards = 1, .wall_ms = 100.0}));
-  BenchDiffReport mixed;
-  EXPECT_EQ(Diff({}, &mixed), kDiffOk) << mixed.ToString();
-  ASSERT_FALSE(mixed.notes.empty());
-  EXPECT_NE(mixed.notes[0].find("num_shards differ"), std::string::npos);
+  WriteSide("cand", Doc({.wall_ms = 10.0}));
+  BenchDiffReport same;
+  EXPECT_EQ(Diff({}, &same), kDiffOk) << same.ToString();
+  EXPECT_TRUE(same.notes.empty()) << same.ToString();
+}
+
+TEST_F(BenchDiffTest, RetiredShardFieldDoesNotSkipWallGate) {
+  // Files recorded while the shard count existed carry "num_shards". The
+  // field is now ignored: differing or missing on one side, it neither
+  // skips the wall gate nor adds a note.
+  auto with_shards = [](std::string doc, int shards) {
+    const std::string anchor = "\"hardware_threads\": 8,\n";
+    doc.insert(doc.find(anchor) + anchor.size(),
+               " \"num_shards\": " + std::to_string(shards) + ",\n");
+    return doc;
+  };
+  WriteSide("base", with_shards(Doc({.wall_ms = 10.0}), 1));
+  WriteSide("cand", with_shards(Doc({.wall_ms = 100.0}), 4));
+  BenchDiffReport both;
+  EXPECT_EQ(Diff({}, &both), kDiffFailed);
+  EXPECT_NE(both.ToString().find("wall time regressed"), std::string::npos);
+  EXPECT_EQ(both.ToString().find("num_shards"), std::string::npos)
+      << both.ToString();
+
+  WriteSide("cand", Doc({.wall_ms = 100.0}));
+  BenchDiffReport one_side;
+  EXPECT_EQ(Diff({}, &one_side), kDiffFailed);
+  EXPECT_NE(one_side.ToString().find("wall time regressed"),
+            std::string::npos);
+  EXPECT_EQ(one_side.ToString().find("num_shards"), std::string::npos)
+      << one_side.ToString();
 }
 
 TEST_F(BenchDiffTest, CounterChangeFailsButIgnoredPrefixPasses) {

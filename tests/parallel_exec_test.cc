@@ -297,6 +297,52 @@ INSTANTIATE_TEST_SUITE_P(Workloads, EpochDeterminismTest,
                                       : "InsertMixed";
                          });
 
+// With three views and four threads every stage worker draws at most one
+// view. Here each TPC-H view is defined twice, so at two and four threads
+// workers claim several views each, in an order left to scheduling; the
+// committed views must still be byte-identical to the sequential run.
+TEST(EpochDeterminismTest, MoreViewsThanThreadsByteIdentical) {
+  tpch::Config config = SmallConfig();
+  auto make = [&](const ExecContext& ctx) {
+    Catalog catalog = tpch::MakeCatalog(tpch::Generate(config)).value();
+    PlanPtr v1 = tpch::View1(catalog, config.max_line_numbers).value();
+    PlanPtr v2 =
+        tpch::View2(catalog, config.max_line_numbers, 30000.0).value();
+    PlanPtr v3 =
+        tpch::View3(catalog, config.first_year, config.num_years).value();
+    ViewManager manager(std::move(catalog));
+    manager.set_exec_context(ctx);
+    for (const char* suffix : {"", "_copy"}) {
+      std::string s(suffix);
+      EXPECT_TRUE(
+          manager.DefineView("v1" + s, v1, RefreshStrategy::kUpdate).ok());
+      EXPECT_TRUE(
+          manager.DefineView("v2" + s, v2, RefreshStrategy::kCombinedSelect)
+              .ok());
+      EXPECT_TRUE(
+          manager.DefineView("v3" + s, v3, RefreshStrategy::kCombinedGroupBy)
+              .ok());
+    }
+    return manager;
+  };
+  const char* kViews[] = {"v1", "v2", "v3", "v1_copy", "v2_copy", "v3_copy"};
+  ViewManager reference = make(ExecContext{});
+  SourceDeltas deltas =
+      MakeEpochDeltas(reference, config, EpochWorkload::kInsertMixed);
+  ASSERT_OK(reference.ApplyUpdate(deltas));
+  ASSERT_OK(reference.Audit());
+  for (size_t threads : {size_t{2}, size_t{4}}) {
+    ViewManager manager = make(Par(threads));
+    ASSERT_OK(manager.ApplyUpdate(deltas));
+    ASSERT_OK(manager.Audit());
+    for (const char* name : kViews) {
+      EXPECT_EQ(reference.GetView(name).value()->table().rows(),
+                manager.GetView(name).value()->table().rows())
+          << "view '" << name << "' differs at " << threads << " threads";
+    }
+  }
+}
+
 // Fault sweep under a 4-thread executor: whichever staging task or commit
 // step the armed fault lands in (the n-th poke may fall in a different
 // stage task run-to-run once staging is concurrent), the epoch must roll

@@ -275,10 +275,11 @@ TEST(SnapshotStoreTest, HandleLessAcquireTakesLockedSlowPath) {
 }
 
 TEST(SnapshotStoreTest, OutOfOrderCommitNotificationIsDropped) {
-  // With per-shard commits running on pool threads, OnEpochCommitted calls
-  // can reach the store out of epoch order. An older seq arriving after a
-  // newer one must not move the head, regress last_committed_seq, or emit
-  // install/retire traffic — it only counts serve.snapshot.stale_skips.
+  // OnEpochCommitted is a public hook: a caller that delivers it from more
+  // than one thread can reach the store out of epoch order. An older seq
+  // arriving after a newer one must not move the head, regress
+  // last_committed_seq, or emit install/retire traffic — it only counts
+  // serve.snapshot.stale_skips.
   ViewManager manager = MakePivotManager();
   obs::MetricsRegistry metrics;
   metrics.set_enabled(true);

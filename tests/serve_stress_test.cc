@@ -307,8 +307,8 @@ TEST(ServeStressTest, HandleLessReadersShareLockedPathWithWriter) {
 }
 
 TEST(ServeStressTest, ConcurrentOutOfOrderCommitHooksKeepHeadsMonotone) {
-  // Sharded commit pipelines can deliver OnEpochCommitted from pool
-  // threads in any order. Hammer the hook concurrently with interleaved
+  // A caller that delivers OnEpochCommitted from several threads can do so
+  // in any order. Hammer the hook concurrently with interleaved
   // seqs while readers acquire: heads must only ever move forward (each
   // reader's observed seq sequence is non-decreasing), and the store must
   // settle on the highest seq delivered — TSan watches the hook's
@@ -322,8 +322,8 @@ TEST(ServeStressTest, ConcurrentOutOfOrderCommitHooksKeepHeadsMonotone) {
   ASSERT_OK(store.Attach());
 
   // Advance the manager once so installed snapshots carry real state; the
-  // fabricated seqs below stand in for per-shard commit notifications that
-  // all describe this same view state.
+  // fabricated seqs below stand in for commit notifications from several
+  // threads that all describe this same view state.
   ASSERT_OK(manager.ApplyUpdate(ChurnDelta(manager, 0)));
   constexpr uint64_t kMaxSeq = 64;
   constexpr size_t kHookThreads = 3;

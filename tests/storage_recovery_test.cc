@@ -444,15 +444,13 @@ TEST(RecoveryTest, CrashLoopSweepRecoversIdenticalState) {
   }
 }
 
-// The headline invariant under sharded maintenance: the same crash-loop
-// sweep with stage and commit split across 4 shards on a 4-thread
-// executor. The armed fault now lands inside per-shard commit sites
-// ("ExecuteMergePlan::shard-commit") running on pool threads; whichever
-// shard it hits, the per-shard undo logs must roll the epoch back to a
-// state whose WAL/checkpoint bytes recover — under ANY shard count —
-// to the exact undurable reference. Recovery runs serially (fresh Open),
-// so this also proves sharded commits leave nothing shard-shaped on disk.
-TEST(RecoveryTest, ShardedCrashLoopSweepRecoversIdenticalState) {
+// The headline invariant under a 4-thread executor: the same crash-loop
+// sweep, with every epoch's stage phase running concurrently on pool
+// threads, so an armed fault can land inside a stage task off the calling
+// thread. Whichever task it hits, the epoch must roll back to a state whose
+// WAL/checkpoint bytes recover — serially or at 4 threads — to the exact
+// undurable reference.
+TEST(RecoveryTest, FourThreadCrashLoopSweepRecoversIdenticalState) {
   std::vector<SourceDeltas> batches =
       WorkloadBatches(PivotCatalog(), 1234, 5);
   std::string expected = UndurableFingerprint(batches);
@@ -460,14 +458,12 @@ TEST(RecoveryTest, ShardedCrashLoopSweepRecoversIdenticalState) {
   ExecContext ctx;
   ctx.num_threads = 4;
   ctx.min_parallel_rows = 1;
-  ivm::ShardingOptions sharding;
-  sharding.num_shards = 4;
 
   bool exhausted = false;
   for (size_t n = 1; !exhausted; ++n) {
     ASSERT_LT(n, 400u) << "sweep did not terminate";
     SCOPED_TRACE("fault point n=" + std::to_string(n));
-    std::string dir = FreshDir("shard_crash_" + std::to_string(n));
+    std::string dir = FreshDir("threaded_crash_" + std::to_string(n));
 
     injector.Arm(n);
     Status st = [&]() -> Status {
@@ -477,7 +473,6 @@ TEST(RecoveryTest, ShardedCrashLoopSweepRecoversIdenticalState) {
                                    Definitions(PivotCatalog()),
                                    Options(dir, 2)));
       dvm->manager()->set_exec_context(ctx);
-      dvm->manager()->set_sharding(sharding);
       for (const SourceDeltas& batch : batches) {
         GPIVOT_RETURN_NOT_OK(dvm->ApplyUpdate(batch));
       }
@@ -493,17 +488,15 @@ TEST(RecoveryTest, ShardedCrashLoopSweepRecoversIdenticalState) {
       ASSERT_TRUE(fired) << "non-injected failure: " << st.ToString();
     }
 
-    // Recover and resume at a rotating shard count: the bytes on disk
-    // must be shard-agnostic, so any recovery configuration converges.
-    size_t recover_shards = 1 + n % 4;  // 1, 2, 3, 4, 1, ...
+    // Resume alternately serial and at 4 threads: the bytes on disk must
+    // not depend on the thread count, so either configuration converges.
+    size_t resume_threads = n % 2 == 0 ? 1 : 4;
     auto recovered = DurableViewManager::Open(PivotCatalog(),
                                               Definitions(PivotCatalog()),
                                               Options(dir, 2));
     ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-    ivm::ShardingOptions resume;
-    resume.num_shards = recover_shards;
-    (*recovered)->manager()->set_exec_context(ctx);
-    (*recovered)->manager()->set_sharding(resume);
+    (*recovered)->manager()->set_exec_context(
+        ExecContext{resume_threads, 1});
     uint64_t seq = (*recovered)->manager()->epoch_seq();
     ASSERT_LE(seq, batches.size());
     for (size_t i = static_cast<size_t>(seq); i < batches.size(); ++i) {
@@ -511,7 +504,7 @@ TEST(RecoveryTest, ShardedCrashLoopSweepRecoversIdenticalState) {
     }
     ASSERT_OK((*recovered)->manager()->Audit());
     EXPECT_EQ(Fingerprint(*(*recovered)->manager()), expected)
-        << "recovered at " << recover_shards << " shards";
+        << "resumed at " << resume_threads << " threads";
   }
 }
 
