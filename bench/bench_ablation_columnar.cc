@@ -102,20 +102,16 @@ void RunAblation(benchmark::State& state, bool vectorized, bool deletes) {
     std::sort(rep_ms.begin(), rep_ms.end());
     state.SetIterationTime(rep_ms.front() / 1000.0);
   }
-  double median = rep_ms[rep_ms.size() / 2];
-  if (rep_ms.size() % 2 == 0) {
-    median = (median + rep_ms[rep_ms.size() / 2 - 1]) / 2.0;
-  }
   state.counters["view_rows"] = static_cast<double>(view_rows);
   state.counters["delta_rows"] = static_cast<double>(delta_rows);
   std::string strategy = std::string(vectorized ? "vectorized" : "row_shim") +
                          (deletes ? "_delete" : "_insert");
   AddFigureRecord(kFigure,
-                  FigureRecord{strategy, kFraction, rep_ms.front(), median,
-                               reps, view_rows, delta_rows,
-                               std::move(metrics_json), std::move(cost_json),
-                               std::move(cost_text), std::move(prom_text),
-                               /*extra=*/std::string()});
+                  FigureRecord{strategy, kFraction,
+                               SummarizeReps(std::move(rep_ms)), view_rows,
+                               delta_rows, std::move(metrics_json),
+                               std::move(cost_json), std::move(cost_text),
+                               std::move(prom_text), /*extra=*/std::string()});
 }
 
 void RegisterAblation() {

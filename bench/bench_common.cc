@@ -221,9 +221,11 @@ class BenchJsonRegistry {
         const BenchRecord& r = records[i];
         out << "    {\"strategy\": \"" << r.strategy << "\", "
             << "\"delta_fraction\": " << FormatDouble(r.fraction) << ", "
-            << "\"wall_ms\": " << FormatDouble(r.wall_ms) << ", "
-            << "\"wall_ms_median\": " << FormatDouble(r.wall_ms_median) << ", "
-            << "\"reps\": " << r.reps << ", "
+            << "\"wall_ms\": " << FormatDouble(r.wall.min) << ", "
+            << "\"wall_ms_median\": " << FormatDouble(r.wall.median) << ", "
+            << "\"wall_ms_p25\": " << FormatDouble(r.wall.p25) << ", "
+            << "\"wall_ms_p75\": " << FormatDouble(r.wall.p75) << ", "
+            << "\"reps\": " << r.wall.reps << ", "
             << "\"view_rows\": " << r.view_rows << ", "
             << "\"delta_rows\": " << r.delta_rows;
         if (!r.extra.empty()) {
@@ -371,16 +373,12 @@ void RunRefresh(benchmark::State& state, const char* figure_name, ViewId view,
     // Manual time = the min rep: the benchmark table and the JSON agree.
     state.SetIterationTime(rep_ms.front() / 1000.0);
   }
-  double median = rep_ms[rep_ms.size() / 2];
-  if (rep_ms.size() % 2 == 0) {
-    median = (median + rep_ms[rep_ms.size() / 2 - 1]) / 2.0;
-  }
   state.counters["view_rows"] = static_cast<double>(view_rows);
   state.counters["delta_rows"] = static_cast<double>(delta_rows);
   BenchJsonRegistry::Get().Add(
       figure_name,
       BenchRecord{ivm::RefreshStrategyToString(strategy), fraction,
-                  rep_ms.front(), median, reps, view_rows, delta_rows,
+                  SummarizeReps(std::move(rep_ms)), view_rows, delta_rows,
                   std::move(metrics_json), std::move(cost_json),
                   std::move(cost_text), std::move(prom_text),
                   /*extra=*/std::string()});
@@ -408,8 +406,8 @@ uint64_t BenchEnvUint64(const char* name, uint64_t fallback) {
 }
 
 // GPIVOT_BENCH_REPS: identical-epoch repetitions per (strategy, fraction);
-// the JSON reports min and median so one descheduled rep doesn't skew the
-// trajectory.
+// the JSON reports the min (so one descheduled rep doesn't skew the
+// trajectory), the median and the quartiles (the spread).
 size_t BenchReps() {
   static const size_t kReps = [] {
     uint64_t reps = BenchEnvUint64("GPIVOT_BENCH_REPS", 3);
@@ -424,6 +422,20 @@ void ValidateBenchEnvOnce() {
     return true;
   }();
   (void)kValidated;
+}
+
+RepTimes SummarizeReps(std::vector<double> rep_ms) {
+  GPIVOT_CHECK(!rep_ms.empty()) << "SummarizeReps: no reps";
+  std::sort(rep_ms.begin(), rep_ms.end());
+  auto quantile = [&](double q) {
+    const double pos = q * static_cast<double>(rep_ms.size() - 1);
+    const size_t lo = static_cast<size_t>(pos);
+    const size_t hi = std::min(lo + 1, rep_ms.size() - 1);
+    const double frac = pos - static_cast<double>(lo);
+    return rep_ms[lo] + (rep_ms[hi] - rep_ms[lo]) * frac;
+  };
+  return RepTimes{rep_ms.front(), quantile(0.25), quantile(0.5),
+                  quantile(0.75), rep_ms.size()};
 }
 
 void AddFigureRecord(const std::string& figure, FigureRecord record) {

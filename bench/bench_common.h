@@ -54,7 +54,8 @@ ExecContext BenchExecContext();
 // Besides the human-readable google-benchmark output, every run appends to
 // a machine-readable BENCH_<figure>.json (written at process exit into
 // GPIVOT_BENCH_JSON_DIR, default the working directory): one record per
-// (strategy, fraction) with the min/median wall-clock refresh time and rows
+// (strategy, fraction) with the min, quartiles and median of the
+// wall-clock refresh time and rows
 // touched, so the perf trajectory is tracked across PRs instead of scraped
 // from stdout. With GPIVOT_METRICS=1 each record additionally embeds the
 // last rep's per-operator metrics snapshot and per-plan-node cost report,
@@ -94,12 +95,25 @@ void ValidateBenchEnvOnce();
 // BENCH_<figure>.json. RunRefresh-based figures fill this internally;
 // custom figures (the micro-batch pipeline bench) build it themselves and
 // hand it to AddFigureRecord.
+// One cell's rep wall times in ms: the min is the headline number, the
+// quartiles give the run-to-run spread a difference must exceed.
+struct RepTimes {
+  double min = 0;
+  double p25 = 0;
+  double median = 0;
+  double p75 = 0;
+  size_t reps = 0;
+};
+// Quantiles interpolate linearly between the closest ranks (the median of
+// an even count is the mean of the middle two). Aborts on an empty list.
+RepTimes SummarizeReps(std::vector<double> rep_ms);
+
 struct FigureRecord {
   std::string strategy;
   double fraction = 0;
-  double wall_ms = 0;         // min across reps
-  double wall_ms_median = 0;  // median across reps
-  size_t reps = 0;
+  // Written as wall_ms (the min), wall_ms_median, wall_ms_p25,
+  // wall_ms_p75 and reps.
+  RepTimes wall;
   size_t view_rows = 0;
   size_t delta_rows = 0;
   std::string metrics_json;  // last rep's snapshot; empty when disabled

@@ -159,15 +159,11 @@ void RunMicroBatch(benchmark::State& state, bool batched) {
     std::sort(rep_ms.begin(), rep_ms.end());
     state.SetIterationTime(rep_ms.front() / 1000.0);
   }
-  double median = rep_ms[rep_ms.size() / 2];
-  if (rep_ms.size() % 2 == 0) {
-    median = (median + rep_ms[rep_ms.size() / 2 - 1]) / 2.0;
-  }
   state.counters["view_rows"] = static_cast<double>(view_rows);
   state.counters["delta_rows"] = static_cast<double>(delta_rows);
   AddFigureRecord(kFigure,
                   FigureRecord{batched ? "batched" : "one_by_one",
-                               kTotalFraction, rep_ms.front(), median, reps,
+                               kTotalFraction, SummarizeReps(std::move(rep_ms)),
                                view_rows, delta_rows, std::move(metrics_json),
                                std::move(cost_json), std::move(cost_text),
                                std::move(prom_text), /*extra=*/std::string()});

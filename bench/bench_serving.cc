@@ -145,14 +145,26 @@ struct Fingerprint {
   }
 };
 
-Fingerprint FingerprintTable(const Table& table) {
-  Fingerprint fp;
+void AddRows(const Table& table, Fingerprint* fp) {
   for (const Row& row : table.rows()) {
     uint64_t h = static_cast<uint64_t>(HashRow(row));
-    ++fp.count;
-    fp.sum += h;
-    fp.xored ^= h;
+    ++fp->count;
+    fp->sum += h;
+    fp->xored ^= h;
   }
+}
+
+Fingerprint FingerprintTable(const Table& table) {
+  Fingerprint fp;
+  AddRows(table, &fp);
+  return fp;
+}
+
+// A snapshot's rows, read chunk by chunk (no flat copy).
+Fingerprint FingerprintSnapshot(const serve::Snapshot& snapshot) {
+  Fingerprint fp;
+  const ChunkedTable& table = snapshot.version().table();
+  for (size_t c = 0; c < table.num_chunks(); ++c) AddRows(table.chunk(c), &fp);
   return fp;
 }
 
@@ -223,7 +235,7 @@ EpochExpectation ExpectAt(const serve::QueryService& service,
   std::shared_ptr<const serve::Snapshot> snapshot =
       service.AcquireSnapshot("v", handle);
   GPIVOT_CHECK(snapshot != nullptr);
-  expectation.full = FingerprintTable(snapshot->table());
+  expectation.full = FingerprintSnapshot(*snapshot);
   for (const ExprPtr& window : windows) {
     auto scan = service.Scan("v", window, handle);
     GPIVOT_CHECK(scan.ok()) << scan.status().ToString();
@@ -336,7 +348,7 @@ void ReaderLoop(const serve::SnapshotStore* store, const Workload* workload,
         store->Acquire("v", handle);
     if (snapshot == nullptr || snapshot->epoch_seq() != b) {
       fail("block " + std::to_string(b) + ": acquired wrong epoch");
-    } else if (!(FingerprintTable(snapshot->table()) ==
+    } else if (!(FingerprintSnapshot(*snapshot) ==
                  workload->expected.at(b).full)) {
       fail("block " + std::to_string(b) +
            ": snapshot diverges from committed state");
@@ -525,10 +537,10 @@ void RunServing(benchmark::State& state) {
         << ", \"p99_ms\": " << p99;
   AddFigureRecord(
       kFigure,
-      FigureRecord{"mixed_read_write", kTotalFraction, wall_ms, wall_ms, 1,
-                   view_rows, workload.delta_rows, std::move(metrics_json),
-                   std::move(cost_json), std::move(cost_text),
-                   std::move(prom_text), extra.str()});
+      FigureRecord{"mixed_read_write", kTotalFraction,
+                   SummarizeReps({wall_ms}), view_rows, workload.delta_rows,
+                   std::move(metrics_json), std::move(cost_json),
+                   std::move(cost_text), std::move(prom_text), extra.str()});
 }
 
 void RegisterServing() {

@@ -56,17 +56,11 @@ Result<Table> FilterByKeySet(
   return result;
 }
 
-}  // namespace
-
-Result<Table> Select(const Table& input, const ExprPtr& predicate,
-                     const ExecContext& ctx) {
-  // Validate against the schema first (both paths must reject unknown
-  // columns identically), then filter through the vectorized predicate
-  // kernels when the expression shape supports them.
-  GPIVOT_ASSIGN_OR_RETURN(CompiledExpr compiled,
-                          CompileExpr(predicate, input.schema()));
-  Table result(input.schema());
-  const size_t chunk_size = EffectiveVectorChunkSize(ctx);
+// Appends the rows of `input` on which `predicate` (compiled against the
+// same schema as `compiled`) is TRUE to `out`, through the vectorized
+// predicate kernels when the expression shape supports them.
+void FilterInto(const Table& input, const ExprPtr& predicate,
+                const CompiledExpr& compiled, size_t chunk_size, Table* out) {
   const size_t num_rows = input.num_rows();
   std::optional<VectorPredicate> vectorized;
   if (chunk_size > 0 && num_rows > 0) {
@@ -78,13 +72,39 @@ Result<Table> Select(const Table& input, const ExprPtr& predicate,
       size_t end = std::min(num_rows, begin + chunk_size);
       vectorized->EvalChunk(begin, end, mask.data());
       for (size_t r = begin; r < end; ++r) {
-        if (mask[r - begin]) result.AddRow(input.RowAt(r));
+        if (mask[r - begin]) out->AddRow(input.RowAt(r));
       }
     }
   } else {
     for (const Row& row : input.rows()) {
-      if (ValueIsTrue(compiled(row))) result.AddRow(row);
+      if (ValueIsTrue(compiled(row))) out->AddRow(row);
     }
+  }
+}
+
+}  // namespace
+
+Result<Table> Select(const Table& input, const ExprPtr& predicate,
+                     const ExecContext& ctx) {
+  // Validate against the schema first (both paths must reject unknown
+  // columns identically), then filter.
+  GPIVOT_ASSIGN_OR_RETURN(CompiledExpr compiled,
+                          CompileExpr(predicate, input.schema()));
+  Table result(input.schema());
+  FilterInto(input, predicate, compiled, EffectiveVectorChunkSize(ctx),
+             &result);
+  RecordOp(ctx, "select", input.num_rows(), result.num_rows());
+  return result;
+}
+
+Result<Table> Select(const ChunkedTable& input, const ExprPtr& predicate,
+                     const ExecContext& ctx) {
+  GPIVOT_ASSIGN_OR_RETURN(CompiledExpr compiled,
+                          CompileExpr(predicate, input.schema()));
+  Table result(input.schema());
+  const size_t chunk_size = EffectiveVectorChunkSize(ctx);
+  for (size_t c = 0; c < input.num_chunks(); ++c) {
+    FilterInto(input.chunk(c), predicate, compiled, chunk_size, &result);
   }
   RecordOp(ctx, "select", input.num_rows(), result.num_rows());
   return result;

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "expr/expr.h"
+#include "relation/chunked_table.h"
 #include "relation/table.h"
 #include "util/result.h"
 #include "util/thread_pool.h"
@@ -21,6 +22,11 @@ namespace gpivot::exec {
 // σ: rows of `input` for which `predicate` evaluates to TRUE (SQL
 // three-valued semantics: NULL filters out).
 Result<Table> Select(const Table& input, const ExprPtr& predicate,
+                     const ExecContext& ctx = {});
+// σ over a chunked table, chunk by chunk (each chunk's column cache serves
+// the vectorized path): the rows, in order, of Select over input.ToTable().
+// Records one select op.
+Result<Table> Select(const ChunkedTable& input, const ExprPtr& predicate,
                      const ExecContext& ctx = {});
 
 // π (positive): keeps `columns` in the given order. Bag semantics: no

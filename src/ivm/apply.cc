@@ -111,114 +111,153 @@ Status CommitPlan(MaterializedView* view, Result<MergePlan> plan) {
 }  // namespace
 
 Result<MaterializedView> MaterializedView::Create(Table initial) {
-  if (!initial.has_key()) {
+  return Create(ChunkedTable(std::move(initial)));
+}
+
+Result<MaterializedView> MaterializedView::Create(ChunkedTable initial) {
+  if (initial.key().empty()) {
     return Status::InvalidArgument(
         "materialized views must carry a key (§6.1)");
   }
   GPIVOT_ASSIGN_OR_RETURN(std::vector<size_t> key_indices,
-                          initial.KeyIndices());
+                          initial.schema().ColumnIndices(initial.key()));
   // Build detects duplicate keys, so no separate ValidateKey pass.
   GPIVOT_ASSIGN_OR_RETURN(KeyIndex index,
                           KeyIndex::Build(initial, std::move(key_indices)));
-  return MaterializedView(std::make_shared<Table>(std::move(initial)),
-                          std::make_shared<KeyIndex>(std::move(index)));
+  return MaterializedView(std::shared_ptr<ViewVersion>(
+      new ViewVersion(std::move(initial), std::move(index))));
 }
 
-Table& MaterializedView::MutableTable() {
-  if (table_.use_count() > 1) {
-    // An immutable handle is outstanding: mutate a private clone so the
-    // handle keeps its version. The clone shares the warm column cache
-    // (Table's copy ctor) until mutable_rows() invalidates the clone's —
-    // the handle holder's cache stays intact either way. One clone per
-    // epoch per mutated view at most: the clone's count is 1 until the
-    // next shared_table() call.
-    obs::MetricsRegistry& global = obs::MetricsRegistry::Global();
-    if (global.enabled()) global.AddCounter("ivm.view.cow_table_clones");
-    table_ = std::make_shared<Table>(*table_);
+const Table& MaterializedView::table() const {
+  if (flat_ == nullptr) {
+    flat_ = std::make_shared<const Table>(version_->ToTable());
   }
-  return *table_;
+  return *flat_;
 }
 
-KeyIndex& MaterializedView::MutableIndex() {
-  if (index_.use_count() > 1) {
-    obs::MetricsRegistry& global = obs::MetricsRegistry::Global();
-    if (global.enabled()) global.AddCounter("ivm.view.cow_index_clones");
-    index_ = std::make_shared<KeyIndex>(*index_);
+ViewVersion& MaterializedView::Mutable() {
+  if (version_.use_count() > 1) {
+    // A handle still reads this version: continue on a fork that shares
+    // every chunk and bucket, so the mutators below clone only what they
+    // write to.
+    version_ = std::make_shared<ViewVersion>(*version_);
   }
-  return *index_;
+  flat_.reset();
+  return *version_;
+}
+
+void MaterializedView::CountCopies(const CowCopies& copies) {
+  if (copies.rows == 0 && copies.buckets == 0) return;
+  obs::MetricsRegistry& global = obs::MetricsRegistry::Global();
+  if (!global.enabled()) return;
+  if (copies.rows > 0) {
+    global.AddCounter("ivm.view.cow_rows_copied", copies.rows);
+  }
+  if (copies.buckets > 0) {
+    global.AddCounter("ivm.view.cow_index_buckets_copied", copies.buckets);
+  }
 }
 
 Status MaterializedView::Insert(Row row) {
-  if (index_->Lookup(row, index_->key_indices()).has_value()) {
+  if (Lookup(row, key_indices()).has_value()) {
     return Status::ConstraintViolation(
         StrCat("insert of duplicate view key ",
-               RowToString(ProjectRow(row, index_->key_indices()))));
+               RowToString(ProjectRow(row, key_indices()))));
   }
-  Table& table = MutableTable();
-  MutableIndex().Insert(row, table.num_rows());
-  table.AddRow(std::move(row));
+  ViewVersion& v = Mutable();
+  CowCopies copies;
+  v.index_.Insert(row, v.table_.num_rows(), &copies);
+  v.table_.Append(std::move(row), &copies);
+  CountCopies(copies);
   return Status::OK();
 }
 
 void MaterializedView::Update(size_t position, Row row) {
-  GPIVOT_CHECK(position < table_->num_rows()) << "Update out of range";
-  GPIVOT_CHECK(RowsEqualAt(table_->rows()[position], index_->key_indices(),
-                           row, index_->key_indices()))
+  GPIVOT_CHECK(position < num_rows()) << "Update out of range";
+  GPIVOT_CHECK(RowsEqualAt(RowAt(position), key_indices(), row,
+                           key_indices()))
       << "Update must not change the key";
-  MutableTable().mutable_rows()[position] = std::move(row);
+  CowCopies copies;
+  Mutable().table_.Replace(position, std::move(row), &copies);
+  CountCopies(copies);
 }
 
 void MaterializedView::Delete(size_t position) {
-  GPIVOT_CHECK(position < table_->num_rows()) << "Delete out of range";
-  std::vector<Row>& rows = MutableTable().mutable_rows();
-  KeyIndex& index = MutableIndex();
-  index.EraseKey(ProjectRow(rows[position], index.key_indices()));
-  size_t last = rows.size() - 1;
+  GPIVOT_CHECK(position < num_rows()) << "Delete out of range";
+  ViewVersion& v = Mutable();
+  CowCopies copies;
+  v.index_.Erase(v.table_.RowAt(position), position, &copies);
+  const size_t last = v.table_.num_rows() - 1;
+  Row moved = v.table_.PopBack(&copies);
   if (position != last) {
-    rows[position] = std::move(rows[last]);
-    index.Reposition(rows[position], position);
+    v.index_.Reposition(moved, last, position, &copies);
+    v.table_.Replace(position, std::move(moved), &copies);
   }
-  rows.pop_back();
+  CountCopies(copies);
 }
 
 void MaterializedView::UndoInsert() {
-  GPIVOT_CHECK(!table_->empty()) << "UndoInsert on empty view";
-  std::vector<Row>& rows = MutableTable().mutable_rows();
-  KeyIndex& index = MutableIndex();
-  index.EraseKey(ProjectRow(rows.back(), index.key_indices()));
-  rows.pop_back();
+  GPIVOT_CHECK(num_rows() > 0) << "UndoInsert on empty view";
+  ViewVersion& v = Mutable();
+  CowCopies copies;
+  const size_t last = v.table_.num_rows() - 1;
+  v.index_.Erase(v.table_.RowAt(last), last, &copies);
+  v.table_.PopBack(&copies);
+  CountCopies(copies);
 }
 
 void MaterializedView::UndoDelete(size_t position, Row row) {
-  std::vector<Row>& rows = MutableTable().mutable_rows();
-  KeyIndex& index = MutableIndex();
-  GPIVOT_CHECK(position <= rows.size()) << "UndoDelete out of range";
-  if (position == rows.size()) {
+  GPIVOT_CHECK(position <= num_rows()) << "UndoDelete out of range";
+  ViewVersion& v = Mutable();
+  CowCopies copies;
+  const size_t end = v.table_.num_rows();
+  if (position == end) {
     // The deleted row was the last one; no swap happened.
-    index.Insert(row, position);
-    rows.push_back(std::move(row));
-    return;
+    v.index_.Insert(row, position, &copies);
+    v.table_.Append(std::move(row), &copies);
+  } else {
+    // Delete moved the then-last row into `position`; move it back to the
+    // end and re-seat the deleted row where it was. The moved row's entry
+    // leaves `position` before the re-seated row's entry takes it.
+    v.index_.Reposition(v.table_.RowAt(position), position, end, &copies);
+    v.index_.Insert(row, position, &copies);
+    v.table_.Append(v.table_.Replace(position, std::move(row), &copies),
+                    &copies);
   }
-  // Delete moved the then-last row into `position`; move it back to the end
-  // and re-seat the deleted row where it was.
-  rows.push_back(std::move(rows[position]));
-  index.Reposition(rows.back(), rows.size() - 1);
-  index.Insert(row, position);
-  rows[position] = std::move(row);
+  CountCopies(copies);
 }
 
 Status MaterializedView::ValidateIntegrity() const {
-  if (index_->size() != table_->num_rows()) {
-    return Status::Internal(StrCat("key index holds ", index_->size(),
-                                   " entries for ", table_->num_rows(),
+  const ChunkedTable& table = version_->table();
+  const KeyIndex& index = version_->index();
+  size_t rows = 0;
+  for (size_t c = 0; c < table.num_chunks(); ++c) {
+    const size_t n = table.chunk(c).num_rows();
+    if (n == 0 || n > ChunkedTable::kChunkRows ||
+        (c + 1 < table.num_chunks() && n != ChunkedTable::kChunkRows)) {
+      return Status::Internal(StrCat("view chunk ", c, " of ",
+                                     table.num_chunks(), " holds ", n,
+                                     " rows"));
+    }
+    rows += n;
+  }
+  if (rows != table.num_rows()) {
+    return Status::Internal(StrCat("view chunks hold ", rows, " rows, not ",
+                                   table.num_rows()));
+  }
+  if (index.size() != table.num_rows()) {
+    return Status::Internal(StrCat("key index holds ", index.size(),
+                                   " entries for ", table.num_rows(),
                                    " view rows"));
   }
-  for (size_t i = 0; i < table_->num_rows(); ++i) {
-    Row key = ProjectRow(table_->rows()[i], index_->key_indices());
-    std::optional<size_t> position = index_->LookupKey(key);
+  for (size_t i = 0; i < table.num_rows(); ++i) {
+    std::optional<size_t> position =
+        version_->Lookup(table.RowAt(i), key_indices());
     if (!position.has_value() || *position != i) {
       return Status::Internal(
-          StrCat("key index maps key ", RowToString(key), " of row ", i,
+          StrCat("key index maps key ",
+                 RowToString(ProjectRow(table.RowAt(i), key_indices())),
+                 " of row ", i,
                  position.has_value() ? StrCat(" to position ", *position)
                                       : " to nothing"));
     }

@@ -9,6 +9,7 @@
 #include "expr/aggregate.h"
 #include "expr/expr.h"
 #include "ivm/delta.h"
+#include "relation/chunked_table.h"
 #include "relation/key_index.h"
 #include "relation/table.h"
 #include "util/result.h"
@@ -16,47 +17,94 @@
 
 namespace gpivot::ivm {
 
-// A materialized view: a keyed table plus a hash index on its key, so the
-// apply phase can MERGE deltas (insert / in-place update / delete in one
-// pass) — the in-memory analogue of the SQL MERGE the paper uses (§7.1).
-//
-// The table and index live behind shared_ptrs with copy-on-write mutation:
-// shared_table()/shared_index() hand out O(1) immutable version handles (the
-// serving layer's snapshots, the checkpoint writer), and the first mutator
-// call of an epoch clones the table/index only when such a handle is still
-// outstanding (use_count > 1). With no handles outstanding every mutation is
-// in-place, exactly as before — the common single-consumer path pays one
-// pointer indirection and nothing else. Mutators must only run on the
-// maintenance thread; handle holders on other threads read the *old* version
-// objects, which the clone step never touches, so no mutation is ever
-// visible through a previously returned handle.
-class MaterializedView {
+// One version of a materialized view: its rows in copy-on-write chunks
+// (ChunkedTable) and the key index over them (KeyIndex, copy-on-write
+// buckets of positions into those rows). Copying a version copies one
+// pointer per chunk and per bucket and no row. A version handed out by
+// MaterializedView::version() is never mutated again.
+class ViewVersion {
  public:
-  // `initial` must carry a declared key; keys must be unique.
-  static Result<MaterializedView> Create(Table initial);
-
-  const Table& table() const { return *table_; }
-  // The current table/index version as immutable shared handles. O(1): no
-  // rows are copied, and the PR 7 column cache stays warm and shared. The
-  // pair returned by consecutive calls with no mutation in between is the
-  // same version; after a mutation the handles keep their pre-mutation
-  // contents (copy-on-write).
-  std::shared_ptr<const Table> shared_table() const { return table_; }
-  std::shared_ptr<const KeyIndex> shared_index() const { return index_; }
-  size_t num_rows() const { return table_->num_rows(); }
+  const ChunkedTable& table() const { return table_; }
+  const KeyIndex& index() const { return index_; }
+  size_t num_rows() const { return table_.num_rows(); }
   const std::vector<size_t>& key_indices() const {
-    return index_->key_indices();
+    return index_.key_indices();
   }
+  const Row& RowAt(size_t position) const { return table_.RowAt(position); }
 
   // Position of the row whose key matches `row` at `probe_indices`.
   std::optional<size_t> Lookup(const Row& row,
                                const std::vector<size_t>& probe_indices) const {
-    return index_->Lookup(row, probe_indices);
+    return index_.Lookup(table_, row, probe_indices);
   }
   // Position of the row whose key equals `key` (already projected).
   std::optional<size_t> LookupKey(const Row& key) const {
-    return index_->LookupKey(key);
+    return index_.LookupKey(table_, key);
   }
+
+  // The rows as one flat table with the view's key. O(|view|): for audits,
+  // tests and tools, never for the epoch or read path.
+  Table ToTable() const { return table_.ToTable(); }
+
+ private:
+  friend class MaterializedView;
+  ViewVersion(ChunkedTable table, KeyIndex index)
+      : table_(std::move(table)), index_(std::move(index)) {}
+
+  ChunkedTable table_;
+  KeyIndex index_;
+};
+
+// A materialized view: a keyed table plus a hash index on its key, so the
+// apply phase can MERGE deltas (insert / in-place update / delete in one
+// pass) — the in-memory analogue of the SQL MERGE the paper uses (§7.1).
+//
+// The view is a persistent structure. version() hands out the current
+// ViewVersion as an immutable shared handle in O(1) (the serving layer's
+// snapshots, the checkpoint writer). The first mutator call after that
+// forks the version — one pointer copy per row chunk and per index bucket
+// — and each mutation then clones only the chunk and the buckets it writes
+// to, and only while another version still shares them (use_count > 1).
+// An epoch therefore copies the rows and buckets it touches, not the view.
+// With no handle outstanding every mutation is in place. Mutators must only
+// run on the maintenance thread; handle holders on other threads read
+// chunks and buckets that no mutator writes to again. The global registry
+// counts what the clones copy: ivm.view.cow_rows_copied and
+// ivm.view.cow_index_buckets_copied.
+class MaterializedView {
+ public:
+  // `initial` must carry a declared key; keys must be unique.
+  static Result<MaterializedView> Create(Table initial);
+  static Result<MaterializedView> Create(ChunkedTable initial);
+
+  // The current version as an immutable shared handle. O(1); consecutive
+  // calls with no mutation in between return the same version.
+  std::shared_ptr<const ViewVersion> version() const { return version_; }
+  // The current version's rows as an immutable shared handle (aliasing
+  // version()); what the checkpoint writer encodes.
+  std::shared_ptr<const ChunkedTable> shared_table() const {
+    return std::shared_ptr<const ChunkedTable>(version_, &version_->table_);
+  }
+
+  // The current rows as one flat table, built on the first call after a
+  // mutation (O(|view|), version()->ToTable()) and kept until the next
+  // one, which also ends the reference's validity. For tests, examples and
+  // end-of-run checks: nothing on the epoch or read path calls it, and it
+  // is not safe against concurrent calls.
+  const Table& table() const;
+
+  size_t num_rows() const { return version_->num_rows(); }
+  const std::vector<size_t>& key_indices() const {
+    return version_->key_indices();
+  }
+  std::optional<size_t> Lookup(const Row& row,
+                               const std::vector<size_t>& probe_indices) const {
+    return version_->Lookup(row, probe_indices);
+  }
+  std::optional<size_t> LookupKey(const Row& key) const {
+    return version_->LookupKey(key);
+  }
+  const Row& RowAt(size_t position) const { return version_->RowAt(position); }
 
   // Inserts a full row; returns ConstraintViolation when its key is already
   // present (delta contents come from callers, so this must not abort).
@@ -72,28 +120,27 @@ class MaterializedView {
   void UndoInsert();                          // removes the appended last row
   void UndoDelete(size_t position, Row row);  // re-seats a swap-deleted row
 
-  // Verifies the key index exactly mirrors the table: one entry per row,
+  // Verifies the version's structure: every chunk but the last is full and
+  // the chunks hold num_rows() rows; the key index holds one entry per row,
   // each mapping the row's key to its position. Internal error on drift.
   Status ValidateIntegrity() const;
 
-  const Row& RowAt(size_t position) const { return table_->rows()[position]; }
-
  private:
-  MaterializedView(std::shared_ptr<Table> table,
-                   std::shared_ptr<KeyIndex> index)
-      : table_(std::move(table)), index_(std::move(index)) {}
+  explicit MaterializedView(std::shared_ptr<ViewVersion> version)
+      : version_(std::move(version)) {}
 
-  // The copy-on-write gates every mutator funnels through: clone the
-  // current version iff an immutable handle still references it. The
-  // use_count probe is safe even while handle holders copy/drop their own
-  // shared_ptrs concurrently — an overshoot only clones unnecessarily, and
-  // an observed count of 1 proves this view holds the sole reference (no
-  // other strong ref exists to be copied from).
-  Table& MutableTable();
-  KeyIndex& MutableIndex();
+  // The copy-on-write gate every mutator funnels through: fork the current
+  // version iff a handle still references it, and drop the flat table()
+  // copy. The use_count probe is safe even while handle holders copy/drop
+  // their own shared_ptrs concurrently — an overshoot only forks
+  // unnecessarily, and an observed count of 1 proves this view holds the
+  // sole reference (no other strong ref exists to be copied from).
+  ViewVersion& Mutable();
+  // Adds what one mutator cloned to the global copy-on-write counters.
+  static void CountCopies(const CowCopies& copies);
 
-  std::shared_ptr<Table> table_;
-  std::shared_ptr<KeyIndex> index_;
+  std::shared_ptr<ViewVersion> version_;
+  mutable std::shared_ptr<const Table> flat_;  // table(), when built
 };
 
 // Describes where the pivoted cells live in a view's schema: cell (c, b)

@@ -94,7 +94,8 @@ Status ViewManager::DefineView(const std::string& name, PlanPtr query,
 }
 
 Status ViewManager::RestoreView(const std::string& name, PlanPtr query,
-                                RefreshStrategy strategy, Table contents) {
+                                RefreshStrategy strategy,
+                                ChunkedTable contents) {
   if (views_.count(name) > 0) {
     return Status::InvalidArgument(StrCat("view '", name, "' already exists"));
   }
@@ -414,7 +415,7 @@ Status ViewManager::Audit() const {
     GPIVOT_ASSIGN_OR_RETURN(Table recomputed,
                             Evaluate(state.plan.effective_query(),
                                      catalog_, exec_context_));
-    if (!recomputed.BagEquals(state.view.table())) {
+    if (!recomputed.BagEquals(state.view.version()->ToTable())) {
       return Status::Internal(
           StrCat("audit: view '", name,
                  "' diverges from from-scratch recomputation (",

@@ -139,7 +139,7 @@ class ViewManager {
   // effective query's output schema; the view's key index rebuilds from
   // the table's declared key.
   Status RestoreView(const std::string& name, PlanPtr query,
-                     RefreshStrategy strategy, Table contents);
+                     RefreshStrategy strategy, ChunkedTable contents);
 
   Result<const MaterializedView*> GetView(const std::string& name) const;
   Result<const MaintenancePlan*> GetPlan(const std::string& name) const;

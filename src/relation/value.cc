@@ -25,31 +25,38 @@ const char* DataTypeToString(DataType type) {
 }
 
 DataType Value::type() const {
-  if (is_null()) return DataType::kNull;
-  if (is_int()) return DataType::kInt64;
-  if (is_double()) return DataType::kDouble;
-  return DataType::kString;
+  switch (kind_) {
+    case Kind::kNull:
+      return DataType::kNull;
+    case Kind::kInt:
+      return DataType::kInt64;
+    case Kind::kDouble:
+      return DataType::kDouble;
+    case Kind::kString:
+      return DataType::kString;
+  }
+  return DataType::kNull;
 }
 
 int64_t Value::AsInt() const {
   GPIVOT_CHECK(is_int()) << "Value::AsInt on " << ToString();
-  return std::get<int64_t>(data_);
+  return payload_.int_;
 }
 
 double Value::AsDouble() const {
   GPIVOT_CHECK(is_double()) << "Value::AsDouble on " << ToString();
-  return std::get<double>(data_);
+  return payload_.double_;
 }
 
 const std::string& Value::AsString() const {
   GPIVOT_CHECK(is_string()) << "Value::AsString on " << ToString();
-  return std::get<std::string>(data_);
+  return *payload_.string_;
 }
 
 double Value::AsNumeric() const {
-  if (is_int()) return static_cast<double>(std::get<int64_t>(data_));
+  if (is_int()) return static_cast<double>(payload_.int_);
   GPIVOT_CHECK(is_double()) << "Value::AsNumeric on " << ToString();
-  return std::get<double>(data_);
+  return payload_.double_;
 }
 
 bool Value::operator==(const Value& other) const {

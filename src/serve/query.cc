@@ -43,15 +43,16 @@ Result<std::optional<Row>> QueryService::PointLookup(
   if (runtime != nullptr) runtime->AddCounter("serve.query.ops");
   GPIVOT_ASSIGN_OR_RETURN(std::shared_ptr<const Snapshot> snapshot,
                           AcquireChecked(view, handle));
-  const size_t key_arity = snapshot->index().key_indices().size();
+  const ivm::ViewVersion& version = snapshot->version();
+  const size_t key_arity = version.key_indices().size();
   if (key.size() != key_arity) {
     return Status::InvalidArgument(
         StrCat("PointLookup on '", view, "': key has ", key.size(),
                " values, the view's key has ", key_arity, " columns"));
   }
-  std::optional<size_t> position = snapshot->index().LookupKey(key);
+  std::optional<size_t> position = version.LookupKey(key);
   if (!position.has_value()) return std::optional<Row>();
-  return std::optional<Row>(snapshot->table().rows()[*position]);
+  return std::optional<Row>(version.RowAt(*position));
 }
 
 Result<Table> QueryService::Scan(const std::string& view,
@@ -66,7 +67,7 @@ Result<Table> QueryService::Scan(const std::string& view,
   if (runtime != nullptr) runtime->AddCounter("serve.query.ops");
   GPIVOT_ASSIGN_OR_RETURN(std::shared_ptr<const Snapshot> snapshot,
                           AcquireChecked(view, handle));
-  return exec::Select(snapshot->table(), predicate, ctx_);
+  return exec::Select(snapshot->version().table(), predicate, ctx_);
 }
 
 Result<Table> QueryService::TopK(const std::string& view,
@@ -81,16 +82,19 @@ Result<Table> QueryService::TopK(const std::string& view,
   if (runtime != nullptr) runtime->AddCounter("serve.query.ops");
   GPIVOT_ASSIGN_OR_RETURN(std::shared_ptr<const Snapshot> snapshot,
                           AcquireChecked(view, handle));
-  const Table& table = snapshot->table();
+  const ChunkedTable& table = snapshot->version().table();
   GPIVOT_ASSIGN_OR_RETURN(size_t column,
                           table.schema().ColumnIndex(measure));
 
   std::vector<std::pair<double, size_t>> keyed;
   keyed.reserve(table.num_rows());
-  for (size_t i = 0; i < table.num_rows(); ++i) {
-    const Value& value = table.rows()[i][column];
-    if (value.is_null()) continue;
-    keyed.emplace_back(value.AsNumeric(), i);
+  size_t position = 0;
+  for (size_t c = 0; c < table.num_chunks(); ++c) {
+    for (const Row& row : table.chunk(c).rows()) {
+      const Value& value = row[column];
+      if (!value.is_null()) keyed.emplace_back(value.AsNumeric(), position);
+      ++position;
+    }
   }
   size_t take = std::min(k, keyed.size());
   std::partial_sort(keyed.begin(), keyed.begin() + take, keyed.end(),
@@ -100,7 +104,7 @@ Result<Table> QueryService::TopK(const std::string& view,
                     });
   Table out(table.schema());
   for (size_t i = 0; i < take; ++i) {
-    out.AddRow(table.rows()[keyed[i].second]);
+    out.AddRow(table.RowAt(keyed[i].second));
   }
   return out;
 }

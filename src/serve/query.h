@@ -22,11 +22,12 @@ namespace gpivot::serve {
 // The ExecContext given at construction is used for every query: its
 // metrics registry receives the serve.query.* counters and latency
 // histograms, and its vector_chunk_size routes Scan through the columnar
-// fast path (snapshots share the view's warm column cache, so repeated
-// scans of the same version never rebuild it). Point the context at a
-// per-reader local registry when counters must stay deterministic — query
-// counts per reader are workload-determined, but which global shard they
-// land in is not.
+// fast path. Scan reads the snapshot's row chunks directly, each through
+// its own column cache: a chunk no epoch touched keeps its warm columns
+// across versions, so a scan rebuilds columns only for the chunks the
+// last epochs rewrote. Point the context at a per-reader local registry
+// when counters must stay deterministic — query counts per reader are
+// workload-determined, but which global shard they land in is not.
 class QueryService {
  public:
   explicit QueryService(const SnapshotStore* store,
@@ -42,8 +43,8 @@ class QueryService {
                                          const Row& key,
                                          ReaderHandle* handle) const;
 
-  // σ over the snapshot table (exec::Select, vectorized when the chunk
-  // size allows).
+  // σ over the snapshot's rows (exec::Select chunk by chunk, vectorized
+  // when the chunk size allows); rows come out in view position order.
   Result<Table> Scan(const std::string& view, const ExprPtr& predicate,
                      ReaderHandle* handle) const;
 

@@ -195,8 +195,8 @@ void SnapshotStore::InstallAll(uint64_t seq, bool initial) {
     for (auto& [name, slot] : slots_) {
       Result<const ivm::MaterializedView*> view = manager_->GetView(name);
       if (!view.ok()) continue;  // view dropped since Attach; keep old head
-      auto snapshot = std::make_shared<const Snapshot>(
-          seq, (*view)->shared_table(), (*view)->shared_index());
+      auto snapshot =
+          std::make_shared<const Snapshot>(seq, (*view)->version());
       std::shared_ptr<const Snapshot> old = std::move(slot.strong_head);
       slot.strong_head = snapshot;
       slot.head.store(snapshot.get(), std::memory_order_seq_cst);

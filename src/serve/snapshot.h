@@ -13,7 +13,6 @@
 #include "ivm/view_manager.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
-#include "relation/key_index.h"
 #include "relation/table.h"
 #include "util/result.h"
 
@@ -33,31 +32,28 @@ struct ServeOptions {
 };
 
 // One immutable version of one view: the epoch sequence number it was
-// committed at plus shared handles to the view's table and key index at
-// that epoch. The handles alias the MaterializedView's current storage —
-// installing a snapshot never copies the table — and stay valid after the
-// view moves on because view mutation is copy-on-write (ivm/apply.h).
+// committed at plus a shared handle to the view's ViewVersion at that
+// epoch (rows in chunks, key index in buckets). The handle aliases the
+// MaterializedView's current version — installing a snapshot copies no row
+// — and stays valid after the view moves on because view mutation forks
+// the version and clones only what it writes to (ivm/apply.h).
 //
 // enable_shared_from_this powers the lock-free Acquire: a reader that
 // validated a raw head pointer against its hazard slot upgrades it to an
 // owning reference without touching the store again.
 class Snapshot : public std::enable_shared_from_this<Snapshot> {
  public:
-  Snapshot(uint64_t epoch_seq, std::shared_ptr<const Table> table,
-           std::shared_ptr<const KeyIndex> index)
-      : epoch_seq_(epoch_seq),
-        table_(std::move(table)),
-        index_(std::move(index)) {}
+  Snapshot(uint64_t epoch_seq, std::shared_ptr<const ivm::ViewVersion> version)
+      : epoch_seq_(epoch_seq), version_(std::move(version)) {}
 
   uint64_t epoch_seq() const { return epoch_seq_; }
-  const Table& table() const { return *table_; }
-  const KeyIndex& index() const { return *index_; }
-  std::shared_ptr<const Table> shared_table() const { return table_; }
+  const ivm::ViewVersion& version() const { return *version_; }
+  // The rows as one flat table: O(|view|), for tests and tools.
+  Table ToTable() const { return version_->ToTable(); }
 
  private:
   uint64_t epoch_seq_;
-  std::shared_ptr<const Table> table_;
-  std::shared_ptr<const KeyIndex> index_;
+  std::shared_ptr<const ivm::ViewVersion> version_;
 };
 
 // A reader's registration with the store: one hazard-pointer slot, alive
@@ -75,9 +71,9 @@ struct alignas(64) ReaderHandle {
 // Attach() registers the store as the manager's EpochCommitHook, so every
 // committed epoch lands here (on the epoch thread, after the epoch record
 // is written) and installs a fresh immutable Snapshot per view with one
-// atomic pointer swap. Because MaterializedView mutation is copy-on-write,
-// building a snapshot costs two shared_ptr copies per view — O(1)
-// regardless of view size.
+// atomic pointer swap. Building a snapshot costs one shared_ptr copy per
+// view — O(1) regardless of view size; the next epoch's first mutation of
+// the view then forks the version in O(chunks + buckets) pointer copies.
 //
 // Readers never take a lock on the path the writer also walks. Acquire
 // runs the classic hazard-pointer handshake against the view's head

@@ -16,18 +16,8 @@ constexpr char kCheckpointPrefix[] = "ckpt-";
 constexpr char kCheckpointSuffix[] = ".gpck";
 constexpr size_t kSeqDigits = 20;  // enough for any u64
 
-void EncodeTableMap(const std::map<std::string, Table>& tables,
-                    BinaryWriter* out) {
-  out->PutU32(static_cast<uint32_t>(tables.size()));
-  for (const auto& [name, table] : tables) {
-    out->PutString(name);
-    EncodeTable(table, out);
-  }
-}
-
-void EncodeTableMap(
-    const std::map<std::string, std::shared_ptr<const Table>>& tables,
-    BinaryWriter* out) {
+template <typename TableMap>
+void EncodeTableMap(const TableMap& tables, BinaryWriter* out) {
   out->PutU32(static_cast<uint32_t>(tables.size()));
   for (const auto& [name, table] : tables) {
     out->PutString(name);
@@ -35,10 +25,11 @@ void EncodeTableMap(
   }
 }
 
-Result<std::map<std::string, Table>> DecodeTableMap(BinaryReader* in,
-                                                    const char* what) {
+using DecodedTables = std::map<std::string, Table>;
+
+Result<DecodedTables> DecodeTableMap(BinaryReader* in, const char* what) {
   GPIVOT_ASSIGN_OR_RETURN(uint32_t ntables, in->GetU32());
-  std::map<std::string, Table> tables;
+  DecodedTables tables;
   for (uint32_t i = 0; i < ntables; ++i) {
     GPIVOT_ASSIGN_OR_RETURN(std::string name, in->GetString());
     GPIVOT_ASSIGN_OR_RETURN(Table table, DecodeTable(in));
@@ -109,13 +100,16 @@ Result<CheckpointContents> ReadCheckpoint(const std::string& path) {
   BinaryReader body(payload);
   CheckpointContents contents;
   GPIVOT_ASSIGN_OR_RETURN(contents.epoch_seq, body.GetU64());
-  GPIVOT_ASSIGN_OR_RETURN(contents.base_tables, DecodeTableMap(&body, "base"));
-  Result<std::map<std::string, Table>> view_tables =
-      DecodeTableMap(&body, "view");
-  GPIVOT_RETURN_NOT_OK(view_tables.status());
-  for (auto& [name, table] : *view_tables) {
+  GPIVOT_ASSIGN_OR_RETURN(DecodedTables base_tables,
+                          DecodeTableMap(&body, "base"));
+  for (auto& [name, table] : base_tables) {
+    contents.base_tables.emplace(name, std::move(table));
+  }
+  GPIVOT_ASSIGN_OR_RETURN(DecodedTables view_tables,
+                          DecodeTableMap(&body, "view"));
+  for (auto& [name, table] : view_tables) {
     contents.view_tables.emplace(
-        name, std::make_shared<const Table>(std::move(table)));
+        name, std::make_shared<const ChunkedTable>(std::move(table)));
   }
   if (!body.exhausted()) return bad("trailing bytes inside payload");
   return contents;

@@ -5,9 +5,12 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "obs/metrics.h"
+#include "relation/chunked_table.h"
 #include "relation/table.h"
 #include "util/result.h"
 
@@ -37,14 +40,44 @@ namespace gpivot::storage {
 inline constexpr uint32_t kCheckpointMagic = 0x4B435047;  // "GPCK" LE
 inline constexpr uint32_t kCheckpointVersion = 1;
 
+// One base table of a checkpoint, read-only. The writer borrows the live
+// catalog's table (Catalog::GetSharedTable): a checkpoint copies no base
+// row, and the catalog's copy-on-write keeps the borrowed version intact
+// should the table change while it is held. A decoded checkpoint, or a
+// caller that hands in a plain Table, owns its table instead.
+class CheckpointTable {
+ public:
+  // Implicit, so a map of them takes a shared handle or a table alike.
+  CheckpointTable(std::shared_ptr<const Table> borrowed)  // NOLINT
+      : table_(std::move(borrowed)) {}
+  CheckpointTable(Table owned)  // NOLINT
+      : table_(std::move(owned)) {}
+
+  const Table& operator*() const {
+    const auto* owned = std::get_if<Table>(&table_);
+    return owned != nullptr
+               ? *owned
+               : *std::get<std::shared_ptr<const Table>>(table_);
+  }
+  const Table* operator->() const { return &**this; }
+
+  // The table by value: moved out when owned, copied when borrowed.
+  Table Release() && {
+    if (auto* owned = std::get_if<Table>(&table_)) return std::move(*owned);
+    return **this;
+  }
+
+ private:
+  std::variant<Table, std::shared_ptr<const Table>> table_;
+};
+
 struct CheckpointContents {
   uint64_t epoch_seq = 0;
-  std::map<std::string, Table> base_tables;
-  // View tables ride as shared immutable handles: the checkpoint writer
-  // only *reads* them, so it borrows the MaterializedView's current version
-  // (shared_table()) instead of deep-copying every view — O(1) per view,
-  // and safe against later epochs because view mutation is copy-on-write.
-  std::map<std::string, std::shared_ptr<const Table>> view_tables;
+  std::map<std::string, CheckpointTable> base_tables;
+  // View tables ride as shared immutable handles: the writer borrows each
+  // MaterializedView's current rows (shared_table()), O(chunks) per view,
+  // and view mutation is copy-on-write, so later epochs cannot change them.
+  std::map<std::string, std::shared_ptr<const ChunkedTable>> view_tables;
 };
 
 // Serializes `contents` and writes it atomically to `path`.

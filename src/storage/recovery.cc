@@ -103,7 +103,7 @@ Result<std::unique_ptr<DurableViewManager>> DurableViewManager::Open(
     report.checkpoint_seq = snapshot->epoch_seq;
     Catalog catalog;
     for (auto& [name, table] : snapshot->base_tables) {
-      GPIVOT_RETURN_NOT_OK(catalog.AddTable(name, std::move(table)));
+      GPIVOT_RETURN_NOT_OK(catalog.AddTable(name, std::move(table).Release()));
     }
     for (const std::string& name : bootstrap.TableNames()) {
       if (!catalog.HasTable(name)) {
@@ -128,10 +128,13 @@ Result<std::unique_ptr<DurableViewManager>> DurableViewManager::Open(
     if (snapshot.has_value()) {
       auto it = snapshot->view_tables.find(def.name);
       if (it != snapshot->view_tables.end()) {
-        // ReadCheckpoint created this table, so the handle is uniquely
-        // owned here; one copy re-materializes it (startup only).
+        // The copy shares the decoded chunks; erasing the checkpoint's
+        // handle leaves the view their only owner, so replay mutates them
+        // in place instead of cloning them.
+        ChunkedTable contents = *it->second;
+        snapshot->view_tables.erase(it);
         GPIVOT_RETURN_NOT_OK(manager->RestoreView(
-            def.name, def.query, def.strategy, Table(*it->second)));
+            def.name, def.query, def.strategy, std::move(contents)));
         restored = true;
       }
     }
@@ -253,14 +256,14 @@ Status DurableViewManager::WriteSnapshot() {
   CheckpointContents contents;
   contents.epoch_seq = manager_->epoch_seq();
   for (const std::string& name : manager_->catalog().TableNames()) {
-    GPIVOT_ASSIGN_OR_RETURN(const Table* table,
-                            manager_->catalog().GetTable(name));
-    contents.base_tables.emplace(name, *table);
+    GPIVOT_ASSIGN_OR_RETURN(std::shared_ptr<const Table> table,
+                            manager_->catalog().GetSharedTable(name));
+    contents.base_tables.emplace(name, std::move(table));
   }
   for (const std::string& name : manager_->ViewNames()) {
     GPIVOT_ASSIGN_OR_RETURN(const ivm::MaterializedView* view,
                             manager_->GetView(name));
-    // Borrow, don't copy: the writer only reads the view table, and the
+    // Borrow, don't copy: the writer only reads the view's rows, and the
     // view's copy-on-write mutation protects the borrowed version from
     // any epoch that commits while the checkpoint encodes.
     contents.view_tables.emplace(name, view->shared_table());

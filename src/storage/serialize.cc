@@ -185,11 +185,19 @@ Result<Schema> DecodeSchema(BinaryReader* in) {
   return Schema(std::move(columns));
 }
 
-void EncodeTable(const Table& table, BinaryWriter* out) {
-  EncodeSchema(table.schema(), out);
-  out->PutU32(static_cast<uint32_t>(table.key().size()));
-  for (const std::string& key_column : table.key()) out->PutString(key_column);
-  out->PutU64(table.num_rows());
+namespace {
+
+void EncodeTableHeader(const Schema& schema,
+                       const std::vector<std::string>& key, uint64_t nrows,
+                       BinaryWriter* out) {
+  EncodeSchema(schema, out);
+  out->PutU32(static_cast<uint32_t>(key.size()));
+  for (const std::string& key_column : key) out->PutString(key_column);
+  out->PutU64(nrows);
+}
+
+// The [rows] part of the table encoding.
+void EncodeTableRows(const Table& table, BinaryWriter* out) {
   const size_t ncols = table.schema().num_columns();
   const size_t nrows = table.num_rows();
   // Columnar fast path: when the table's column cache is already warm (hot
@@ -242,6 +250,20 @@ void EncodeTable(const Table& table, BinaryWriter* out) {
     }
   }
   for (const Row& row : table.rows()) EncodeRow(row, out);
+}
+
+}  // namespace
+
+void EncodeTable(const Table& table, BinaryWriter* out) {
+  EncodeTableHeader(table.schema(), table.key(), table.num_rows(), out);
+  EncodeTableRows(table, out);
+}
+
+void EncodeTable(const ChunkedTable& table, BinaryWriter* out) {
+  EncodeTableHeader(table.schema(), table.key(), table.num_rows(), out);
+  for (size_t c = 0; c < table.num_chunks(); ++c) {
+    EncodeTableRows(table.chunk(c), out);
+  }
 }
 
 Result<Table> DecodeTable(BinaryReader* in) {

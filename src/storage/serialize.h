@@ -6,6 +6,7 @@
 #include <string_view>
 
 #include "ivm/delta.h"
+#include "relation/chunked_table.h"
 #include "relation/row.h"
 #include "relation/schema.h"
 #include "relation/table.h"
@@ -80,6 +81,9 @@ Result<Schema> DecodeSchema(BinaryReader* in);
 // When the table's columnar cache is warm, cells are encoded straight from
 // the typed column storage — the wire bytes are identical to the row loop.
 void EncodeTable(const Table& table, BinaryWriter* out);
+// The same bytes as EncodeTable(table.ToTable()), chunk by chunk (each
+// chunk takes the columnar path when its own cache is warm).
+void EncodeTable(const ChunkedTable& table, BinaryWriter* out);
 Result<Table> DecodeTable(BinaryReader* in);
 
 // Delta: [inserts table][deletes table].

@@ -5,8 +5,10 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 
+#include "obs/json_util.h"
 #include "tools/bench_compare.h"
 
 namespace gpivot::tools {
@@ -153,6 +155,33 @@ TEST_F(BenchDiffTest, RetiredShardFieldDoesNotSkipWallGate) {
             std::string::npos);
   EXPECT_EQ(one_side.ToString().find("num_shards"), std::string::npos)
       << one_side.ToString();
+}
+
+TEST_F(BenchDiffTest, RepQuartilesParseAndDoNotGate) {
+  // BENCH files record the spread of the reps next to the min and median.
+  // The quartiles parse as numbers, and the gate ignores them: a candidate
+  // with a much wider spread but the same median passes.
+  const std::string base = Doc(
+      {.extra_row_fields = ", \"wall_ms_p25\": 9.5, \"wall_ms_p75\": 10.5"});
+  WriteSide("base", base);
+  WriteSide("cand",
+            Doc({.extra_row_fields =
+                     ", \"wall_ms_p25\": 1.0, \"wall_ms_p75\": 90.0"}));
+  BenchDiffReport report;
+  EXPECT_EQ(Diff({}, &report), kDiffOk) << report.ToString();
+
+  std::optional<obs::JsonValue> doc = obs::ParseJson(base);
+  ASSERT_TRUE(doc.has_value());
+  const obs::JsonValue& row = doc->Find("results")->array.at(0);
+  ASSERT_NE(row.Find("wall_ms_p25"), nullptr);
+  ASSERT_NE(row.Find("wall_ms_p75"), nullptr);
+  const double p25 = row.Find("wall_ms_p25")->number_value;
+  const double median = row.Find("wall_ms_median")->number_value;
+  const double p75 = row.Find("wall_ms_p75")->number_value;
+  EXPECT_EQ(p25, 9.5);
+  EXPECT_EQ(p75, 10.5);
+  EXPECT_LE(p25, median);
+  EXPECT_LE(median, p75);
 }
 
 TEST_F(BenchDiffTest, CounterChangeFailsButIgnoredPrefixPasses) {

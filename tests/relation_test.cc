@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "algebra/plan.h"
+#include "relation/chunked_table.h"
 #include "relation/key_index.h"
 #include "relation/row.h"
 #include "relation/schema.h"
@@ -151,23 +152,34 @@ TEST(TableTest, SortedIsDeterministic) {
 }
 
 TEST(KeyIndexTest, LookupInsertEraseReposition) {
-  Table t = MakeTable({{"k", DataType::kInt64}, {"v", DataType::kInt64}},
-                      {{I(1), I(10)}, {I(2), I(20)}});
+  ChunkedTable t(MakeTable({{"k", DataType::kInt64}, {"v", DataType::kInt64}},
+                           {{I(1), I(10)}, {I(2), I(20)}}));
   ASSERT_OK_AND_ASSIGN(KeyIndex index, KeyIndex::Build(t, {0}));
-  EXPECT_EQ(index.LookupKey({I(1)}), 0u);
-  EXPECT_EQ(index.LookupKey({I(2)}), 1u);
-  EXPECT_FALSE(index.LookupKey({I(3)}).has_value());
+  EXPECT_EQ(index.LookupKey(t, {I(1)}), 0u);
+  EXPECT_EQ(index.LookupKey(t, {I(2)}), 1u);
+  EXPECT_FALSE(index.LookupKey(t, {I(3)}).has_value());
 
-  index.Insert({I(3), I(30)}, 2);
-  EXPECT_EQ(index.LookupKey({I(3)}), 2u);
-  index.EraseKey({I(1)});
-  EXPECT_FALSE(index.LookupKey({I(1)}).has_value());
-  index.Reposition({I(3), I(30)}, 0);
-  EXPECT_EQ(index.LookupKey({I(3)}), 0u);
+  // The index finds keys through the rows it points at, so every table
+  // change is mirrored: append (3, 30), then swap-delete row 0.
+  CowCopies copies;
+  index.Insert({I(3), I(30)}, 2, &copies);
+  t.Append({I(3), I(30)}, &copies);
+  EXPECT_EQ(index.LookupKey(t, {I(3)}), 2u);
+  index.Erase(t.RowAt(0), 0, &copies);
+  Row moved = t.PopBack(&copies);
+  index.Reposition(moved, 2, 0, &copies);
+  t.Replace(0, std::move(moved), &copies);
+  EXPECT_FALSE(index.LookupKey(t, {I(1)}).has_value());
+  EXPECT_EQ(index.LookupKey(t, {I(3)}), 0u);
+  EXPECT_EQ(index.LookupKey(t, {I(2)}), 1u);
+  EXPECT_EQ(index.size(), 2u);
+  // Nothing was shared, so nothing was copied.
+  EXPECT_EQ(copies.rows, 0u);
+  EXPECT_EQ(copies.buckets, 0u);
 }
 
 TEST(KeyIndexTest, DuplicateKeysRejected) {
-  Table t = MakeTable({{"k", DataType::kInt64}}, {{I(1)}, {I(1)}});
+  ChunkedTable t(MakeTable({{"k", DataType::kInt64}}, {{I(1)}, {I(1)}}));
   Result<KeyIndex> index = KeyIndex::Build(t, {0});
   EXPECT_TRUE(index.status().IsConstraintViolation());
   EXPECT_NE(index.status().message().find("duplicate key"), std::string::npos);

@@ -129,7 +129,7 @@ TEST(SnapshotStoreTest, AttachInstallsCurrentEpochForEveryView) {
   EXPECT_EQ(snapshot->epoch_seq(), 0u);
   ASSERT_OK_AND_ASSIGN(const ivm::MaterializedView* view,
                        manager.GetView("v"));
-  EXPECT_TRUE(BagEqual(view->table(), snapshot->table()));
+  EXPECT_TRUE(BagEqual(view->table(), snapshot->ToTable()));
   EXPECT_EQ(store.Acquire("nope", reader.get()), nullptr);
 }
 
@@ -140,9 +140,9 @@ TEST(SnapshotStoreTest, AttachFailsWithoutViews) {
 }
 
 TEST(SnapshotStoreTest, InstallSharesTableStorageWithView) {
-  // Satellite check: installing a snapshot must not copy the view table —
-  // the snapshot aliases the MaterializedView's current storage, so the
-  // warm column cache is shared too.
+  // Installing a snapshot must not copy the view: the snapshot aliases the
+  // MaterializedView's current version, so the warm column caches of its
+  // chunks are shared too.
   ViewManager manager = MakePivotManager();
   SnapshotStore store(&manager);
   ASSERT_OK(store.Attach());
@@ -151,7 +151,7 @@ TEST(SnapshotStoreTest, InstallSharesTableStorageWithView) {
   ASSERT_NE(snapshot, nullptr);
   ASSERT_OK_AND_ASSIGN(const ivm::MaterializedView* view,
                        manager.GetView("v"));
-  EXPECT_EQ(snapshot->shared_table().get(), view->shared_table().get());
+  EXPECT_EQ(&snapshot->version(), view->version().get());
 }
 
 TEST(SnapshotStoreTest, CommittedEpochInstallsNewVersionOldStaysPinned) {
@@ -161,7 +161,7 @@ TEST(SnapshotStoreTest, CommittedEpochInstallsNewVersionOldStaysPinned) {
   ScopedReader reader(&store);
   std::shared_ptr<const Snapshot> before = store.Acquire("v", reader.get());
   ASSERT_NE(before, nullptr);
-  Table before_copy = before->table();
+  Table before_copy = before->ToTable();
 
   ASSERT_OK(manager.ApplyUpdate(ItemsInsert(manager, 2, "Type", "DVD")));
   EXPECT_EQ(store.last_committed_seq(), 1u);
@@ -171,12 +171,12 @@ TEST(SnapshotStoreTest, CommittedEpochInstallsNewVersionOldStaysPinned) {
   EXPECT_EQ(after->epoch_seq(), 1u);
   ASSERT_OK_AND_ASSIGN(const ivm::MaterializedView* view,
                        manager.GetView("v"));
-  EXPECT_TRUE(BagEqual(view->table(), after->table()));
+  EXPECT_TRUE(BagEqual(view->table(), after->ToTable()));
 
-  // The pinned pre-epoch version is untouched: copy-on-write cloned the
-  // view table under it instead of mutating in place.
-  EXPECT_NE(before->shared_table().get(), after->shared_table().get());
-  EXPECT_TRUE(BagEqual(before_copy, before->table()));
+  // The pinned pre-epoch version is untouched: the epoch forked the view's
+  // version and cloned the chunks it wrote instead of mutating in place.
+  EXPECT_NE(&before->version(), &after->version());
+  EXPECT_TRUE(BagEqual(before_copy, before->ToTable()));
 }
 
 TEST(SnapshotStoreTest, NoOpRejectedAndRolledBackEpochsDoNotInstall) {
@@ -465,11 +465,11 @@ TEST(QueryServiceTest, QueriesAgainstPinnedSnapshotIgnoreLaterEpochs) {
   ScopedReader reader(&store);
   std::shared_ptr<const Snapshot> pinned = store.Acquire("v", reader.get());
   ASSERT_NE(pinned, nullptr);
-  Table before = pinned->table();
+  Table before = pinned->ToTable();
 
   ASSERT_OK(manager.ApplyUpdate(ItemsInsert(manager, 2, "Type", "DVD")));
 
-  EXPECT_TRUE(BagEqual(before, pinned->table()));
+  EXPECT_TRUE(BagEqual(before, pinned->ToTable()));
   QueryService service(&store);
   ASSERT_OK_AND_ASSIGN(
       Table now, service.Scan("v", Gt(Col("Price"), Lit(int64_t{0})),

@@ -171,7 +171,7 @@ void ReaderLoop(const SnapshotStore* store, const ExpectedStates* expected,
     auto it = expected->by_seq.find(seq);
     if (it == expected->by_seq.end()) {
       fail("observed non-committed epoch seq " + std::to_string(seq));
-    } else if (snapshot->table().rows() != it->second) {
+    } else if (snapshot->ToTable().rows() != it->second) {
       fail("snapshot rows diverge from committed state at seq " +
            std::to_string(seq));
     }
@@ -283,7 +283,7 @@ TEST(ServeStressTest, HandleLessReadersShareLockedPathWithWriter) {
   std::thread reader([&]() {
     while (!done.load(std::memory_order_acquire)) {
       std::shared_ptr<const Snapshot> snapshot = store.Acquire("v", nullptr);
-      if (snapshot == nullptr || snapshot->table().empty()) {
+      if (snapshot == nullptr || snapshot->version().num_rows() == 0) {
         bad.fetch_add(1);
       }
       reads.fetch_add(1, std::memory_order_release);

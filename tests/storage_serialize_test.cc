@@ -19,6 +19,7 @@
 #include "storage/wal.h"
 #include "test_util.h"
 #include "util/crc32c.h"
+#include "util/file_io.h"
 #include "util/random.h"
 
 namespace gpivot::storage {
@@ -139,6 +140,45 @@ TEST(SerializeRoundTripTest, RandomTablesByteIdentical) {
     }
     // ...and the canonical form is a fixed point.
     EXPECT_EQ(EncodeTableToString(*decoded), encoded);
+  }
+}
+
+// A chunked view encodes to the flat table's bytes whatever mix of warm
+// (columnar path) and cold (row path) chunks it has, and a checkpoint
+// writes the same bytes whether its base table is borrowed or owned.
+TEST(SerializeRoundTripTest, ChunkedTableEncodesLikeFlatTable) {
+  Rng rng(20261020);
+  for (size_t nrows : {size_t{0}, size_t{1}, ChunkedTable::kChunkRows,
+                       ChunkedTable::kChunkRows * 2 + 7}) {
+    SCOPED_TRACE("rows=" + std::to_string(nrows));
+    Table flat{Schema({{"k", DataType::kInt64},
+                       {"s", DataType::kString},
+                       {"x", DataType::kDouble}})};
+    for (size_t r = 0; r < nrows; ++r) {
+      flat.AddRow({Value::Int(static_cast<int64_t>(r)), RandomValue(&rng),
+                   RandomValue(&rng)});
+    }
+    ASSERT_TRUE(flat.SetKey({"k"}).ok());
+    const std::string expected = EncodeTableToString(flat);
+    ChunkedTable chunked(flat);
+    for (int warm = 0; warm < 2; ++warm) {
+      BinaryWriter out;
+      EncodeTable(chunked, &out);
+      EXPECT_EQ(out.buffer(), expected) << "warm=" << warm;
+      // Warm every other chunk's columns for the second pass.
+      for (size_t c = 0; c < chunked.num_chunks(); c += 2) {
+        for (size_t col = 0; col < 3; ++col) chunked.chunk(c).ColumnData(col);
+      }
+    }
+
+    CheckpointContents borrowed, owned;
+    borrowed.base_tables.emplace("t", std::make_shared<const Table>(flat));
+    owned.base_tables.emplace("t", flat);
+    const std::string dir = ::testing::TempDir();
+    ASSERT_TRUE(WriteCheckpoint(dir + "/borrowed.gpck", borrowed).ok());
+    ASSERT_TRUE(WriteCheckpoint(dir + "/owned.gpck", owned).ok());
+    EXPECT_EQ(ReadFileToString(dir + "/borrowed.gpck").value(),
+              ReadFileToString(dir + "/owned.gpck").value());
   }
 }
 
@@ -291,9 +331,10 @@ TEST(CorruptionFuzzTest, EveryCheckpointBitFlipCaught) {
                            {"Attribute", DataType::kString}},
                           {{I(1), S("Manu")}, {I(2), S("Type")}});
   ASSERT_TRUE(items.SetKey({"ID", "Attribute"}).ok());
-  contents.base_tables.emplace("Items", std::move(items));
+  contents.base_tables.emplace(
+      "Items", std::make_shared<const Table>(std::move(items)));
   contents.view_tables.emplace(
-      "v", std::make_shared<const Table>(
+      "v", std::make_shared<const ChunkedTable>(
                MakeTable({{"ID", DataType::kInt64}}, {{I(1)}})));
   ASSERT_TRUE(WriteCheckpoint(path, contents).ok());
   auto pristine = ReadFileToString(path);
